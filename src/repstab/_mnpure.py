@@ -1,12 +1,19 @@
-"""Pure-Python Murnaghan-Nakayama kernel.
+"""Murnaghan-Nakayama kernel on the abacus bitmask.
 
 char_value(shape, cycles) returns the irreducible character of the
 symmetric group indexed by `shape` (a descending tuple of positive ints)
 at an element whose cycle lengths are `cycles` (a descending tuple with
-the same sum).  Border strips are removed via beta-numbers: the beta-set
-{shape[i] + (len-1-i)} loses a strip of size k by replacing one element b
-with b-k; the sign is the parity of the number of beta elements jumped
-over.  Results are memoized on (shape, cycles) across calls.
+the same sum).
+
+A shape is carried as a Python int: bit shape[i] + (len - 1 - i) is set
+for each row i (its beta-set).  Removing a border strip of length k moves
+one bead from a position b down to a free position b - k, and the sign is
+the parity of the beads strictly in between.  Masks are normalised by
+dropping the beads of empty rows (the run of set bits at the bottom), so
+every shape has one key whatever its number of rows, and the memo is
+shared across degrees.  Python ints put no cap on the degree.
+
+The memo holds one dict per cycle suffix, keyed by the mask.
 """
 
 _memo = {}
@@ -15,7 +22,11 @@ _memo = {}
 def char_value(shape, cycles):
     if sum(shape) != sum(cycles):
         raise ValueError(f"size mismatch: |{shape}| vs |{cycles}|")
-    return _mn(shape, cycles)
+    ell = len(shape)
+    mask = 0
+    for i, part in enumerate(shape):
+        mask |= 1 << (part + ell - 1 - i)
+    return _mn(mask, cycles)
 
 
 def clear_cache():
@@ -23,33 +34,34 @@ def clear_cache():
 
 
 def cache_size():
-    return len(_memo)
+    return sum(len(memo) for memo in _memo.values())
 
 
-def _mn(shape, cycles):
-    if not shape:
+def _mn(mask, cycles):
+    if not cycles:
         return 1
-    key = (shape, cycles)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
+    memo = _memo.get(cycles)
+    if memo is None:
+        memo = _memo[cycles] = {}
+    else:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
     k = cycles[0]
     rest = cycles[1:]
-    ell = len(shape)
-    beta = [shape[i] + (ell - 1 - i) for i in range(ell)]
-    beta_set = set(beta)
     total = 0
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in beta_set:
-            continue
-        jumped = sum(1 for c in beta if nb < c < b)
-        sub = []
-        for i, c in enumerate(sorted((nb if c == b else c for c in beta), reverse=True)):
-            part = c - (ell - 1 - i)
-            if part > 0:
-                sub.append(part)
-        value = _mn(tuple(sub), rest)
-        total += -value if jumped % 2 else value
-    _memo[key] = total
+    # beads at b >= k whose slot b - k is free
+    movable = mask & (~mask << k)
+    while movable:
+        bit = movable & -movable
+        movable ^= bit
+        low = bit >> k
+        sub = mask ^ bit ^ low
+        sub >>= (sub ^ (sub + 1)).bit_length() - 1
+        value = _mn(sub, rest)
+        if (mask & (bit - 1) & ~((low << 1) - 1)).bit_count() & 1:
+            total -= value
+        else:
+            total += value
+    memo[mask] = total
     return total

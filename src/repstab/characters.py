@@ -1,18 +1,14 @@
 """Class functions of symmetric groups: irreducible characters, inner
 products, and decomposition into irreducibles.
 
-Character values come from the Murnaghan-Nakayama recursion; a compiled
-kernel is used when the extension module is available, with a pure-Python
-twin selected as fallback at import time.
+Character values come from the Murnaghan-Nakayama recursion in `_mnpure`.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import factorial
 
 from . import _mnpure
-from .errors import BudgetError
 from .partitions import (
     CycleType,
     class_size,
@@ -22,31 +18,14 @@ from .partitions import (
     partitions_of,
 )
 
-try:
-    from . import _mncore
-
-    _HAVE_COMPILED = True
-except ImportError:
-    _mncore = None
-    _HAVE_COMPILED = False
-
-# the compiled kernel does its arithmetic in int64; character values of
-# degrees up to this bound stay well inside that range
-_COMPILED_MAX_DEGREE = 20
-
-# direct enumeration of S_m stops being reasonable past this degree
-INDUCTION_MAX_DEGREE = 8
-
 
 def kernel_name():
-    """Which Murnaghan-Nakayama kernel is active: 'compiled' or 'pure'."""
-    return "compiled" if _HAVE_COMPILED else "pure"
+    """Name of the Murnaghan-Nakayama kernel, kept for reporting: always 'pure'."""
+    return "pure"
 
 
 def clear_caches():
     _mnpure.clear_cache()
-    if _HAVE_COMPILED:
-        _mncore.clear_cache()
     character_table.cache_clear()
 
 
@@ -57,10 +36,7 @@ def irr_char(lam, t):
     """
     if lam.size != t.m:
         raise ValueError(f"degree mismatch: |lambda|={lam.size} but t is a type of {t.m}")
-    cycles = t.cycles_desc()
-    if _HAVE_COMPILED and t.m <= _COMPILED_MAX_DEGREE:
-        return _mncore.char_value(lam.parts, cycles)
-    return _mnpure.char_value(lam.parts, cycles)
+    return _mnpure.char_value(lam.parts, t.cycles_desc())
 
 
 def irr_dimension(lam):
@@ -312,80 +288,3 @@ def decompose(f):
         if n:
             mults[lam] = int(n)
     return IrrDecomposition(m, mults)
-
-
-def induce_bruteforce(chi, m, max_degree=INDUCTION_MAX_DEGREE):
-    """Character of S_m induced from chi ⊠ trivial on (S_n x S_{m-n}).
-
-    Deliberately naive: for each class representative g the whole of S_m is
-    enumerated and chi is summed over the conjugates of g landing in the
-    subgroup.  Serves as an oracle for the Pieri-rule path; refuses degrees
-    past max_degree.  The enumeration tally for a given (n, m) is shared
-    across calls, since it does not depend on chi.
-    """
-    n = chi.m
-    if m < n:
-        raise ValueError(f"cannot induce from degree {n} to smaller degree {m}")
-    if m > max_degree:
-        raise BudgetError(f"induction by enumeration capped at degree {max_degree}", m=m)
-    if m == n:
-        return ClassFunction(m, dict(chi.values))
-
-    chi_by_lengths = {t.cycles_desc(): chi.values[t] for t in cycle_types_of(n)}
-    subgroup_order = factorial(n) * factorial(m - n)
-    values = {}
-    for t, tally in _conjugation_tally(n, m).items():
-        total = sum(count * chi_by_lengths[lengths] for lengths, count in tally.items())
-        values[t] = Fraction(total, subgroup_order)
-    return ClassFunction(m, values)
-
-
-@lru_cache(maxsize=32)
-def _conjugation_tally(n, m):
-    """For each class of degree m: how many x in the whole group conjugate its
-    representative into the (n, m-n) subgroup, bucketed by the cycle lengths
-    of the first-block restriction.
-
-    Membership and restriction only involve the first n positions of the
-    conjugate, so only those are computed.
-    """
-    types = cycle_types_of(m)
-    reps = [(t, _representative(t, m)) for t in types]
-    tallies = {t: {} for t in types}
-    block = range(n)
-    for x in permutations(range(m)):
-        xinv = [0] * m
-        for i, xi in enumerate(x):
-            xinv[xi] = i
-        for t, g in reps:
-            head = tuple(xinv[g[x[i]]] for i in block)
-            if all(v < n for v in head):
-                lengths = _cycle_lengths(head)
-                tally = tallies[t]
-                tally[lengths] = tally.get(lengths, 0) + 1
-    return tallies
-
-
-def _representative(t, m):
-    p = list(range(m))
-    start = 0
-    for c in t.cycles_desc():
-        for k in range(c):
-            p[start + k] = start + (k + 1) % c
-        start += c
-    return tuple(p)
-
-
-def _cycle_lengths(p):
-    seen = [False] * len(p)
-    out = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        count, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            count += 1
-        out.append(count)
-    return tuple(sorted(out, reverse=True))

@@ -2,22 +2,21 @@
 
 Subcommands: chartable, frobpoly, pieri, decompose, cyclepoly, rho,
 rankscan, tensorweight.  Every command takes --json for a versioned JSON
-document instead of the text table, --budget to override the enumeration
-cap, and --seed to fix the randomness of any sampled checks.  Exit codes:
+document instead of the text table and --budget to override the
+enumeration cap.  Exit codes:
 0 success, 1 usage or parse error, 2 budget exceeded, 3 a theorem bound
 check failed.
 """
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
 from .characters import ClassFunction, character_table, decompose
 from .cyclepoly import eval_rho_all, format_poly, parse_poly
 from .errors import BudgetError, ParseError
-from .fbmodules import DEFAULT_BUDGET, cycle_poly, parse_spec
+from .fbmodules import DEFAULT_BUDGET, check_budget, cycle_poly, parse_spec
 from .frobenius import frobenius_poly, frobenius_poly_stable
 from .partitions import (
     cycle_types_of,
@@ -53,7 +52,6 @@ def _build_parser():
         default=DEFAULT_BUDGET,
         help=f"enumeration cap on the degree (default {DEFAULT_BUDGET})",
     )
-    common.add_argument("--seed", type=int, default=None, help="seed sampled checks")
 
     parser = _Parser(prog="repstab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -113,8 +111,6 @@ def run(argv):
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is not None:
-        random.seed(args.seed)
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
@@ -137,13 +133,8 @@ def _emit(data):
     print(json.dumps(data, indent=2, sort_keys=False))
 
 
-def _check_budget(m, budget):
-    if m > budget:
-        raise BudgetError(f"degree {m} exceeds the budget {budget}", m=m)
-
-
 def _cmd_chartable(args):
-    _check_budget(args.m, args.budget)
+    check_budget(args.m, args.budget)
     types, table = character_table(args.m)
     lams = partitions_of(args.m)
     if args.json:
@@ -202,7 +193,7 @@ def _cmd_frobpoly(args):
 
 def _cmd_pieri(args):
     nu = parse_partition(args.nu)
-    _check_budget(args.m, args.budget)
+    check_budget(args.m, args.budget)
     mus = sorted(pieri_expand(nu, args.m), key=lambda p: p.parts, reverse=True)
     if args.json:
         _emit(
@@ -222,7 +213,7 @@ def _cmd_pieri(args):
 
 
 def _cmd_decompose(args):
-    _check_budget(args.m, args.budget)
+    check_budget(args.m, args.budget)
     types = cycle_types_of(args.m)
     raw = args.values.split(",")
     if len(raw) != len(types):
@@ -263,7 +254,7 @@ def _cmd_cyclepoly(args):
 
 
 def _cmd_rho(args):
-    _check_budget(args.m, args.budget)
+    check_budget(args.m, args.budget)
     poly = parse_poly(args.poly)
     f = eval_rho_all(poly, args.m)
     if args.json:
@@ -276,6 +267,7 @@ def _cmd_rho(args):
 
 def _cmd_rankscan(args):
     spec = parse_spec(args.spec)
+    check_budget(args.mmax, args.budget)
     report = verify_equivalence(spec, args.mmax, budget=args.budget)
     if args.json:
         _emit(report.to_json_dict())
@@ -302,7 +294,7 @@ def _cmd_rankscan(args):
 def _cmd_tensorweight(args):
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
-    _check_budget(args.m, args.budget)
+    check_budget(args.m, args.budget)
     from .characters import irr_character
 
     product = irr_character(lam.pad(args.m)) * irr_character(mu.pad(args.m))

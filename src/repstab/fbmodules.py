@@ -105,7 +105,7 @@ class WeightTruncateGT:
 
 def terms_at(spec, m, budget=DEFAULT_BUDGET):
     """Decomposition into irreducibles of the family at degree m."""
-    _check_budget(m, budget)
+    check_budget(m, budget)
     return _terms(spec, m)
 
 
@@ -116,7 +116,7 @@ def character_at(spec, m, budget=DEFAULT_BUDGET):
     products multiply the factors' characters, keeping those paths
     independent of the decomposition route.
     """
-    _check_budget(m, budget)
+    check_budget(m, budget)
     return _character(spec, m)
 
 
@@ -125,11 +125,13 @@ def dimension_at(spec, m, budget=DEFAULT_BUDGET):
     from .partitions import CycleType
 
     val = character_at(spec, m, budget).values[CycleType.identity(m)]
-    assert val.denominator == 1 and val >= 0
+    if val.denominator != 1 or val < 0:
+        raise ValueError(f"dimension at degree {m} is {val}, not a nonnegative integer")
     return int(val)
 
 
-def _check_budget(m, budget):
+def check_budget(m, budget):
+    """Reject a negative degree (ValueError) or one past the budget (BudgetError)."""
     if m < 0:
         raise ValueError("degree must be nonnegative")
     if m > budget:

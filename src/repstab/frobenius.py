@@ -27,9 +27,7 @@ _stable_cache = {}
 
 
 def frobenius_poly(lam):
-    """The character polynomial of the irreducible indexed by lam (nonempty)."""
-    if not lam:
-        raise ValueError("empty partition has no irreducible module")
+    """The character polynomial of the irreducible indexed by lam."""
     return frobenius_poly_stable(lam.socle())
 
 

@@ -110,7 +110,11 @@ def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
         # re-derivation check: the polynomial taken one degree down must
         # disagree, else the failure would contradict its own construction
         other = frobenius_poly_of_module(terms_at(spec, m_max - 1, budget))
-        assert other != poly
+        if other == poly:
+            raise RuntimeError(
+                f"module polynomial at degree {m_max - 1} equals the candidate "
+                "that fails there"
+            )
         return None
     return n, poly
 
@@ -130,7 +134,8 @@ def uniqueness_check(p, q, n, m_max, budget=DEFAULT_BUDGET):
         if not eval_rho_all(p - q, m).is_zero():
             return "distinct"
     # joint vanishing at m_max with weight <= m_max/2 forces equality
-    assert p == q
+    if p != q:
+        raise RuntimeError("distinct polynomials of weight <= m_max/2 vanish jointly")
     return "equal"
 
 

@@ -10,6 +10,13 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
+from repstab.characters import ClassFunction
+from repstab.errors import BudgetError
+from repstab.partitions import cycle_types_of
+
+# direct enumeration of S_m stops being reasonable past this degree
+INDUCTION_MAX_DEGREE = 8
+
 
 def compose(p, q):
     """Permutation product p∘q acting as (p∘q)(x) = p(q(x))."""
@@ -173,3 +180,86 @@ def induced_character_value(chi_n, n, g):
             restricted = tuple(conj[i] for i in range(n))
             total += chi_n[cycle_lengths(restricted)]
     return Fraction(total, factorial(n) * factorial(m - n))
+
+
+@lru_cache(maxsize=None)
+def mn_beta_set(shape, cycles):
+    """Murnaghan-Nakayama recursion on beta-set lists, as a reference kernel.
+
+    The beta-set {shape[i] + (len-1-i)} loses a border strip of size k by
+    replacing one element b with b-k; the sign is the parity of the number
+    of beta elements jumped over.
+    """
+    if not shape:
+        return 1
+    k = cycles[0]
+    rest = cycles[1:]
+    ell = len(shape)
+    beta = [shape[i] + (ell - 1 - i) for i in range(ell)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in beta_set:
+            continue
+        jumped = sum(1 for c in beta if nb < c < b)
+        sub = []
+        for i, c in enumerate(sorted((nb if c == b else c for c in beta), reverse=True)):
+            part = c - (ell - 1 - i)
+            if part > 0:
+                sub.append(part)
+        value = mn_beta_set(tuple(sub), rest)
+        total += -value if jumped % 2 else value
+    return total
+
+
+def induce_bruteforce(chi, m, max_degree=INDUCTION_MAX_DEGREE):
+    """Character of S_m induced from chi ⊠ trivial on (S_n x S_{m-n}).
+
+    Deliberately naive: for each class representative g the whole of S_m is
+    enumerated and chi is summed over the conjugates of g landing in the
+    subgroup.  Serves as an oracle for the Pieri-rule path; refuses degrees
+    past max_degree.  The enumeration tally for a given (n, m) is shared
+    across calls, since it does not depend on chi.
+    """
+    n = chi.m
+    if m < n:
+        raise ValueError(f"cannot induce from degree {n} to smaller degree {m}")
+    if m > max_degree:
+        raise BudgetError(f"induction by enumeration capped at degree {max_degree}", m=m)
+    if m == n:
+        return ClassFunction(m, dict(chi.values))
+
+    chi_by_lengths = {t.cycles_desc(): chi.values[t] for t in cycle_types_of(n)}
+    subgroup_order = factorial(n) * factorial(m - n)
+    values = {}
+    for t, tally in _conjugation_tally(n, m).items():
+        total = sum(count * chi_by_lengths[lengths] for lengths, count in tally.items())
+        values[t] = Fraction(total, subgroup_order)
+    return ClassFunction(m, values)
+
+
+@lru_cache(maxsize=32)
+def _conjugation_tally(n, m):
+    """For each class of degree m: how many x in the whole group conjugate its
+    representative into the (n, m-n) subgroup, bucketed by the cycle lengths
+    of the first-block restriction.
+
+    Membership and restriction only involve the first n positions of the
+    conjugate, so only those are computed.
+    """
+    types = cycle_types_of(m)
+    reps = [(t, representative(t.cycles_desc(), m)) for t in types]
+    tallies = {t: {} for t in types}
+    block = range(n)
+    for x in permutations(range(m)):
+        xinv = [0] * m
+        for i, xi in enumerate(x):
+            xinv[xi] = i
+        for t, g in reps:
+            head = tuple(xinv[g[x[i]]] for i in block)
+            if all(v < n for v in head):
+                lengths = cycle_lengths(head)
+                tally = tallies[t]
+                tally[lengths] = tally.get(lengths, 0) + 1
+    return tallies

@@ -14,7 +14,6 @@ from repstab.characters import (
     IrrDecomposition,
     character_table,
     decompose,
-    induce_bruteforce,
     irr_char,
     irr_character,
 )
@@ -45,7 +44,7 @@ from repstab.stability import (
     verify_equivalence,
 )
 
-from bruteforce import commuting_cycle_count, representative
+from bruteforce import commuting_cycle_count, induce_bruteforce, representative
 
 
 def criterion(number, title):

@@ -10,7 +10,6 @@ from repstab.characters import (
     IrrDecomposition,
     character_table,
     decompose,
-    induce_bruteforce,
     inner_product,
     irr_char,
     irr_character,
@@ -23,6 +22,7 @@ from repstab.partitions import CycleType, Partition, cycle_types_of, partitions_
 from bruteforce import (
     cycle_lengths,
     hook_length_dimension,
+    induce_bruteforce,
     sign_of,
     standard_rep_character,
 )

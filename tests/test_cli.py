@@ -95,6 +95,14 @@ def test_json_documents_carry_schema(capsys):
         assert json.loads(capsys.readouterr().out)["schema"] == 1
 
 
+@pytest.mark.parametrize("spec", ['(vfam -)', '(proj 0 "-")'])
+def test_trivial_family(spec, capsys):
+    assert run(["rankscan", "--spec", spec, "--mmax", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "rank_rs: 0\nrank_pc: 0\npoly: 1\n" in out
+    assert "FAILED" not in out
+
+
 def test_usage_and_parse_errors_exit_1(capsys):
     assert run(["frobpoly", "2,3"]) == 1  # not weakly decreasing
     assert run(["rho", "--poly", "X0", "--m", "2"]) == 1
@@ -102,6 +110,7 @@ def test_usage_and_parse_errors_exit_1(capsys):
     assert run(["nonsense"]) == 1
     assert run(["decompose", "--m", "2", "--values=1"]) == 1
     assert run(["decompose", "--m", "2", "--values=1/2,1/2"]) == 1  # not a character
+    assert run(["rankscan", "--spec", "(cycle 1)", "--mmax", "-1"]) == 1
 
 
 def test_budget_errors_exit_2(capsys):

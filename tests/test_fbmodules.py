@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from repstab.characters import IrrDecomposition, decompose, irr_character
+from repstab.characters import ClassFunction, IrrDecomposition, decompose, irr_character
 from repstab.cyclepoly import X, eval_rho
 from repstab.errors import BudgetError, ParseError
 from repstab.fbmodules import (
@@ -122,6 +122,15 @@ def test_terms_at_cycle_module():
     assert d == IrrDecomposition(4, {P(4): 1, P(3, 1): 1, P(2, 2): 1})
     assert d.dimension() == 6
     assert dimension_at(CycleModule(P(2)), 4) == 6
+
+
+def test_dimension_rejects_non_module_character(monkeypatch):
+    import repstab.fbmodules as fbmodules
+
+    negative = lambda spec, m, budget: ClassFunction(m, {CycleType.identity(m): -1})
+    monkeypatch.setattr(fbmodules, "character_at", negative)
+    with pytest.raises(ValueError):
+        dimension_at(CycleModule(P(2)), 4)
 
 
 def test_terms_at_projective_and_sum():

@@ -1,5 +1,3 @@
-import pytest
-
 from repstab.characters import IrrDecomposition, irr_char
 from repstab.cyclepoly import CharPolynomial, X, eval_rho, eval_rho_all
 from repstab.frobenius import (
@@ -16,9 +14,8 @@ def test_single_row_is_constant_one():
     assert frobenius_poly_stable(Partition()) == CharPolynomial.one()
 
 
-def test_empty_partition_rejected():
-    with pytest.raises(ValueError):
-        frobenius_poly(Partition())
+def test_empty_partition_is_trivial():
+    assert frobenius_poly(Partition()) == CharPolynomial.one()
 
 
 def test_hook_with_one_box_socle():

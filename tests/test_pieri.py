@@ -1,6 +1,6 @@
 import pytest
 
-from repstab.characters import IrrDecomposition, decompose, induce_bruteforce, irr_character
+from repstab.characters import IrrDecomposition, decompose, irr_character
 from repstab.partitions import Partition, partitions_of
 from repstab.pieri import (
     pieri_expand,
@@ -8,6 +8,8 @@ from repstab.pieri import (
     rank_rs_projective,
     stable_socle_set,
 )
+
+from bruteforce import induce_bruteforce
 
 
 def P(*parts):

@@ -102,6 +102,19 @@ def test_uniqueness_check_states():
     assert uniqueness_check(X(3), X(3) + X(1) ** 3, 0, 4) == "inconclusive"
 
 
+def test_contradictions_raise(monkeypatch):
+    # both checks guard conclusions the theory rules out; force them to fire
+    import repstab.stability as stability
+
+    monkeypatch.setattr(stability, "frobenius_poly_of_module", lambda dec: CharPolynomial.one())
+    with pytest.raises(RuntimeError):
+        rank_pc_estimate(CycleModule(P(1)), 4)
+    zero = eval_rho_all(CharPolynomial.zero(), 6)
+    monkeypatch.setattr(stability, "eval_rho_all", lambda poly, m: zero)
+    with pytest.raises(RuntimeError):
+        uniqueness_check(X(1), X(2), 0, 6)
+
+
 def test_matrix_rank_exact():
     assert matrix_rank([[1, 2], [2, 4]]) == 1
     assert matrix_rank([[Fraction(1, 2), 0], [0, 3]]) == 2
