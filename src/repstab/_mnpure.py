@@ -3,7 +3,7 @@
 char_value(shape, cycles) returns the irreducible character of the
 symmetric group indexed by `shape` (a descending tuple of positive ints)
 at an element whose cycle lengths are `cycles` (a descending tuple with
-the same sum).
+the same sum); char_row(shape, cycle_list) gives a whole row of values.
 
 A shape is carried as a Python int: bit shape[i] + (len - 1 - i) is set
 for each row i (its beta-set).  Removing a border strip of length k moves
@@ -22,11 +22,29 @@ _memo = {}
 def char_value(shape, cycles):
     if sum(shape) != sum(cycles):
         raise ValueError(f"size mismatch: |{shape}| vs |{cycles}|")
+    return _mn(_mask(shape), cycles)
+
+
+def char_row(shape, cycle_list):
+    """The values of char_value(shape, cycles) for each cycles in cycle_list.
+
+    Every entry of cycle_list must have the size of shape; the sizes are
+    checked and the mask is built once for the whole row.
+    """
+    n = sum(shape)
+    if any(map(n.__ne__, map(sum, cycle_list))):
+        bad = next(c for c in cycle_list if sum(c) != n)
+        raise ValueError(f"size mismatch: |{shape}| vs |{bad}|")
+    mask = _mask(shape)
+    return tuple([_mn(mask, cycles) for cycles in cycle_list])
+
+
+def _mask(shape):
     ell = len(shape)
     mask = 0
     for i, part in enumerate(shape):
         mask |= 1 << (part + ell - 1 - i)
-    return _mn(mask, cycles)
+    return mask
 
 
 def clear_cache():

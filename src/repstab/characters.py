@@ -4,15 +4,16 @@ products, and decomposition into irreducibles.
 Character values come from the Murnaghan-Nakayama recursion in `_mnpure`.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import add, mul, sub
 
 from . import _mnpure
 from .partitions import (
     CycleType,
-    class_size,
-    cycle_types_of,
+    classes,
     format_cycle_type,
     parse_cycle_type,
     partitions_of,
@@ -25,8 +26,10 @@ def kernel_name():
 
 
 def clear_caches():
+    """Empty the kernel memo and every per-degree cache."""
     _mnpure.clear_cache()
     character_table.cache_clear()
+    classes.cache_clear()
 
 
 def irr_char(lam, t):
@@ -44,6 +47,12 @@ def irr_dimension(lam):
     return irr_char(lam, CycleType.identity(lam.size))
 
 
+def irr_row(lam):
+    """Values of the irreducible character indexed by lam, as a tuple of
+    ints aligned with the canonical class order of degree |lam|."""
+    return _mnpure.char_row(lam.parts, classes(lam.size).cycles)
+
+
 @lru_cache(maxsize=64)
 def character_table(m):
     """Full character table of degree m.
@@ -51,70 +60,101 @@ def character_table(m):
     Returns (types, {partition: tuple of integer values aligned with types}),
     rows and columns both in the partitions_of(m) order.
     """
-    types = tuple(cycle_types_of(m))
-    table = {
-        lam: tuple(irr_char(lam, t) for t in types) for lam in partitions_of(m)
-    }
-    return types, table
+    table = {lam: irr_row(lam) for lam in partitions_of(m)}
+    return classes(m).types, table
 
 
 class ClassFunction:
     """Exact-rational function on the conjugacy classes of a fixed degree m.
 
-    Stores one value per cycle type of m.  Characters of actual
-    representations take integer values, but arbitrary rational class
-    functions are allowed.
+    Stored as integer numerators `num`, aligned with the canonical class
+    order of classes(m), over one positive denominator `den`, in lowest
+    terms: gcd(den, *num) == 1, so equal functions have equal fields.
+    Characters of actual representations take integer values (den == 1),
+    but arbitrary rational class functions are allowed.
     """
 
-    __slots__ = ("m", "values")
+    __slots__ = ("m", "num", "den")
 
     def __init__(self, m, values):
-        self.m = m
-        vals = {}
+        """Build from a mapping {cycle type of m: rational}; absent types are 0."""
+        index = classes(m).index
+        fracs = [0] * len(index)
         for t, v in values.items():
-            if t.m != m:
+            j = index.get(t)
+            if j is None:
                 raise ValueError(f"type {t} does not belong to degree {m}")
-            vals[t] = Fraction(v)
-        for t in cycle_types_of(m):
-            vals.setdefault(t, Fraction(0))
-        self.values = vals
+            fracs[j] = Fraction(v)
+        den = lcm(*(v.denominator for v in fracs if v))
+        self._set(m, [v.numerator * (den // v.denominator) for v in fracs], den)
+
+    def _set(self, m, num, den):
+        g = gcd(den, *num) if den != 1 else 1
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+        self.m = m
+        self.num = tuple(num)
+        self.den = den
+
+    @classmethod
+    def from_ints(cls, m, num, den=1):
+        """The function num[j] / den on the j-th class of classes(m); den > 0."""
+        count = len(classes(m).types)
+        if len(num) != count:
+            raise ValueError(f"expected {count} values for degree {m}, got {len(num)}")
+        f = cls.__new__(cls)
+        f._set(m, num, den)
+        return f
 
     @classmethod
     def from_callable(cls, m, fn):
-        return cls(m, {t: fn(t) for t in cycle_types_of(m)})
+        return cls(m, {t: fn(t) for t in classes(m).types})
 
     @classmethod
     def zero(cls, m):
-        return cls(m, {})
+        return cls.from_ints(m, (0,) * len(classes(m).types))
+
+    @property
+    def values(self):
+        """Read-only mapping {cycle type: Fraction} in the canonical order."""
+        return _Values(self)
 
     def __call__(self, t):
-        return self.values[t]
+        return Fraction(self.num[classes(self.m).index[t]], self.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, ClassFunction)
             and self.m == other.m
-            and self.values == other.values
+            and self.den == other.den
+            and self.num == other.num
         )
+
+    def _common(self, other):
+        """Both numerator tuples over one denominator, and that denominator."""
+        self._check(other)
+        a, b = self.den, other.den
+        if a == b:
+            return self.num, other.num, a
+        d = lcm(a, b)
+        ka, kb = d // a, d // b
+        return [ka * x for x in self.num], [kb * y for y in other.num], d
 
     def __add__(self, other):
-        self._check(other)
-        return ClassFunction(
-            self.m, {t: v + other.values[t] for t, v in self.values.items()}
-        )
+        x, y, d = self._common(other)
+        return ClassFunction.from_ints(self.m, list(map(add, x, y)), d)
 
     def __sub__(self, other):
-        self._check(other)
-        return ClassFunction(
-            self.m, {t: v - other.values[t] for t, v in self.values.items()}
-        )
+        x, y, d = self._common(other)
+        return ClassFunction.from_ints(self.m, list(map(sub, x, y)), d)
 
     def __mul__(self, other):
         """Pointwise product (the character of a tensor product)."""
         if isinstance(other, ClassFunction):
             self._check(other)
-            return ClassFunction(
-                self.m, {t: v * other.values[t] for t, v in self.values.items()}
+            return ClassFunction.from_ints(
+                self.m, list(map(mul, self.num, other.num)), self.den * other.den
             )
         return self.scale(other)
 
@@ -122,10 +162,13 @@ class ClassFunction:
 
     def scale(self, c):
         c = Fraction(c)
-        return ClassFunction(self.m, {t: v * c for t, v in self.values.items()})
+        p = c.numerator
+        return ClassFunction.from_ints(
+            self.m, [p * x for x in self.num], self.den * c.denominator
+        )
 
     def is_zero(self):
-        return all(v == 0 for v in self.values.values())
+        return not any(self.num)
 
     def _check(self, other):
         if self.m != other.m:
@@ -135,8 +178,8 @@ class ClassFunction:
         return {
             "m": self.m,
             "values": [
-                {"type": format_cycle_type(t), "value": str(self.values[t])}
-                for t in cycle_types_of(self.m)
+                {"type": format_cycle_type(t), "value": str(v)}
+                for t, v in self.values.items()
             ],
         }
 
@@ -152,14 +195,31 @@ class ClassFunction:
         return f"ClassFunction(m={self.m})"
 
 
+class _Values(Mapping):
+    """The values of a ClassFunction as {cycle type: Fraction}, built on access."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, f):
+        self._f = f
+
+    def __getitem__(self, t):
+        return self._f(t)
+
+    def __iter__(self):
+        return iter(classes(self._f.m).types)
+
+    def __len__(self):
+        return len(self._f.num)
+
+
 def irr_character(lam):
     """The irreducible character indexed by lam, as a ClassFunction."""
-    m = lam.size
-    return ClassFunction(m, {t: irr_char(lam, t) for t in cycle_types_of(m)})
+    return ClassFunction.from_ints(lam.size, irr_row(lam))
 
 
 def trivial_character(m):
-    return ClassFunction(m, {t: 1 for t in cycle_types_of(m)})
+    return ClassFunction.from_ints(m, (1,) * len(classes(m).types))
 
 
 class IrrDecomposition:
@@ -213,12 +273,14 @@ class IrrDecomposition:
         return {lam.socle(): n for lam, n in self._items}
 
     def character(self):
-        m = self.m
-        vals = {t: 0 for t in cycle_types_of(m)}
+        acc = [0] * len(classes(self.m).types)
         for lam, n in self._items:
-            for t in vals:
-                vals[t] += n * irr_char(lam, t)
-        return ClassFunction(m, vals)
+            row = irr_row(lam)
+            if n == 1:
+                acc = list(map(add, acc, row))
+            else:
+                acc = [a + n * c for a, c in zip(acc, row)]
+        return ClassFunction.from_ints(self.m, acc)
 
     def __add__(self, other):
         if self.m != other.m:
@@ -265,26 +327,31 @@ def inner_product(f, g):
     """
     if f.m != g.m:
         raise ValueError(f"degree mismatch: {f.m} vs {g.m}")
-    total = sum(class_size(t) * f.values[t] * g.values[t] for t in cycle_types_of(f.m))
-    return Fraction(total, factorial(f.m))
+    sizes = classes(f.m).sizes
+    total = sum(map(mul, sizes, map(mul, f.num, g.num)))
+    return Fraction(total, factorial(f.m) * f.den * g.den)
 
 
 def decompose(f):
     """Write the class function f as a sum of irreducible characters.
 
-    Raises ValueError("not a character ...") when any extracted
-    multiplicity is negative or non-integral.
+    Each multiplicity is one integer dot product of a table row with the
+    size-weighted numerators of f, divided by m! * f.den.  Raises
+    ValueError("not a character ...") when any multiplicity is negative
+    or non-integral.
     """
     m = f.m
-    types, table = character_table(m)
-    order = factorial(m)
-    weights = [class_size(t) * f.values[t] for t in types]
+    _, table = character_table(m)
+    order = factorial(m) * f.den
+    weights = list(map(mul, classes(m).sizes, f.num))
     mults = {}
-    for lam in partitions_of(m):
-        row = table[lam]
-        n = Fraction(sum(w * c for w, c in zip(weights, row)), order)
-        if n.denominator != 1 or n < 0:
-            raise ValueError(f"not a character: multiplicity of {lam} is {n}")
+    for lam, row in table.items():
+        total = sum(map(mul, weights, row))
+        n, rem = divmod(total, order)
+        if rem or n < 0:
+            raise ValueError(
+                f"not a character: multiplicity of {lam} is {Fraction(total, order)}"
+            )
         if n:
-            mults[lam] = int(n)
+            mults[lam] = n
     return IrrDecomposition(m, mults)

@@ -260,8 +260,8 @@ def _cmd_rho(args):
     if args.json:
         _emit({"schema": 1, **f.to_json_dict()})
     else:
-        for t in cycle_types_of(args.m):
-            print(f"{format_cycle_type(t)}: {f.values[t]}")
+        for t, v in f.values.items():
+            print(f"{format_cycle_type(t)}: {v}")
     return EXIT_OK
 
 

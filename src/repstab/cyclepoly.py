@@ -12,11 +12,12 @@ which compares below every integer.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import add, mul
 
 from .characters import ClassFunction
 from .errors import ParseError
-from .partitions import cycle_types_of
+from .partitions import classes
 
 NEG_INF = float("-inf")
 
@@ -210,8 +211,28 @@ def eval_rho(poly, t):
 
 
 def eval_rho_all(poly, m):
-    """Lift evaluation over every cycle type of degree m into a ClassFunction."""
-    return ClassFunction(m, {t: eval_rho(poly, t) for t in cycle_types_of(m)})
+    """Lift evaluation over every cycle type of degree m into a ClassFunction.
+
+    The coefficients are brought over one common denominator once; each
+    monomial is then evaluated in integers on all classes at a time, from
+    one column of cycle counts per variable.
+    """
+    types = classes(m).types
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    num = [0] * len(types)
+    columns = {}
+    for mono, coef in poly.terms.items():
+        vals = [coef.numerator * (den // coef.denominator)] * len(types)
+        for v, e in mono:
+            col = columns.get(v)
+            if col is None:
+                col = columns[v] = [t.count(v) for t in types]
+            if e == 1:
+                vals = list(map(mul, vals, col))
+            else:
+                vals = [a * x**e for a, x in zip(vals, col)]
+        num = list(map(add, num, vals))
+    return ClassFunction.from_ints(m, num, den)
 
 
 def weighted_degree(poly):

@@ -124,7 +124,7 @@ def dimension_at(spec, m, budget=DEFAULT_BUDGET):
     """Dimension at degree m: the character value on the identity class."""
     from .partitions import CycleType
 
-    val = character_at(spec, m, budget).values[CycleType.identity(m)]
+    val = character_at(spec, m, budget)(CycleType.identity(m))
     if val.denominator != 1 or val < 0:
         raise ValueError(f"dimension at degree {m} is {val}, not a nonnegative integer")
     return int(val)

@@ -6,6 +6,7 @@ partition is a first-class value.  Cycle types are sparse multisets
 Both are immutable and hashable.
 """
 
+from functools import lru_cache
 from math import factorial
 
 from .errors import ParseError
@@ -268,8 +269,37 @@ def _gen_partitions(remaining, cap, prefix, out):
 
 
 def cycle_types_of(m):
-    """All cycle types of degree m, aligned with the partitions_of(m) order."""
-    return [lam.cycle_type() for lam in partitions_of(m)]
+    """All cycle types of degree m, aligned with the partitions_of(m) order.
+
+    A fresh list each call; the types themselves are cached by classes(m).
+    """
+    return list(classes(m).types)
+
+
+class Classes:
+    """The conjugacy classes of one degree m, in the canonical order.
+
+    types: the cycle types, aligned with partitions_of(m);
+    index: type -> its position in types;
+    sizes: the class sizes, aligned with types;
+    cycles: each type's cycles_desc() tuple, aligned with types.
+    """
+
+    __slots__ = ("m", "types", "index", "sizes", "cycles")
+
+    def __init__(self, m):
+        lams = partitions_of(m)
+        self.m = m
+        self.types = tuple(lam.cycle_type() for lam in lams)
+        self.index = {t: j for j, t in enumerate(self.types)}
+        self.sizes = tuple(class_size(t) for t in self.types)
+        self.cycles = tuple(lam.parts for lam in lams)
+
+
+@lru_cache(maxsize=64)
+def classes(m):
+    """The Classes record of degree m, built on first use and cached."""
+    return Classes(m)
 
 
 def class_size(t):

@@ -24,6 +24,7 @@ from .fbmodules import (
     DEFAULT_BUDGET,
     DirectSum,
     VFamily,
+    check_budget,
     format_spec,
     module_weight,
     terms_at,
@@ -79,6 +80,7 @@ def rank_rs_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     Returns (N, multiplicities) or None when no such N exists in the window.
     Constancy is only checked up to m_max.
     """
+    check_budget(m_max, budget)
     maps = [
         terms_at(spec, m, budget).socle_multiplicities() for m in range(m_max + 1)
     ]
@@ -102,6 +104,7 @@ def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     Returns (N, P) or None ("not polynomial in the window") when the
     candidate already fails at m_max - 1.
     """
+    check_budget(m_max, budget)
     poly = frobenius_poly_of_module(terms_at(spec, m_max, budget))
     n = m_max
     while n > 0 and eval_rho_all(poly, n - 1) == character_at(spec, n - 1, budget):
@@ -229,6 +232,7 @@ def verify_equivalence(spec, m_max, budget=DEFAULT_BUDGET):
       - from max(2 * weight, rank_pc) on, the module polynomial is the
         polynomial and the module weight equals its weight.
     """
+    check_budget(m_max, budget)
     report = StabilityReport(spec=spec, m_max=m_max)
     rs = rank_rs_estimate(spec, m_max, budget)
     pc = rank_pc_estimate(spec, m_max, budget)

@@ -263,3 +263,55 @@ def _conjugation_tally(n, m):
                 tally = tallies[t]
                 tally[lengths] = tally.get(lengths, 0) + 1
     return tallies
+
+
+# -- class functions as {CycleType: Fraction} dicts -----------------------------
+#
+# The library stores a class function as integer numerators over one
+# denominator; these helpers redo its arithmetic on plain Fraction dicts,
+# one entry per cycle type, with class sizes counted by enumeration.
+
+
+def ref_class_function(m, values):
+    """{cycle type: Fraction} over every type of degree m, 0 where absent."""
+    return {t: Fraction(values.get(t, 0)) for t in cycle_types_of(m)}
+
+
+def ref_add(a, b):
+    return {t: a[t] + b[t] for t in a}
+
+
+def ref_sub(a, b):
+    return {t: a[t] - b[t] for t in a}
+
+
+def ref_mul(a, b):
+    return {t: a[t] * b[t] for t in a}
+
+
+def ref_scale(a, c):
+    return {t: a[t] * Fraction(c) for t in a}
+
+
+def ref_is_zero(a):
+    return all(v == 0 for v in a.values())
+
+
+def ref_inner_product(a, b, m):
+    """sum over the classes of |class| a b, over m!, with enumerated class sizes."""
+    sizes = _class_sizes(m)
+    total = sum(sizes[t.cycles_desc()] * a[t] * b[t] for t in a)
+    return total / factorial(m)
+
+
+def ref_json(m, a):
+    """The to_json_dict document of a, types in the canonical order."""
+    return {
+        "m": m,
+        "values": [{"type": str(t), "value": str(a[t])} for t in cycle_types_of(m)],
+    }
+
+
+@lru_cache(maxsize=None)
+def _class_sizes(m):
+    return class_sizes_by_enumeration(m)

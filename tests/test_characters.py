@@ -143,8 +143,11 @@ def test_decompose_rejects_non_characters():
     m = 3
     with pytest.raises(ValueError, match="not a character"):
         decompose(ClassFunction(m, {t: Fraction(1, 2) for t in cycle_types_of(m)}))
+    half = ClassFunction(2, {t: Fraction(1, 2) for t in cycle_types_of(2)})
+    with pytest.raises(ValueError, match=r"^not a character: multiplicity of 2 is 1/2$"):
+        decompose(half)
     neg = irr_character(Partition([2, 1])).scale(-1)
-    with pytest.raises(ValueError, match="not a character"):
+    with pytest.raises(ValueError, match=r"^not a character: multiplicity of 2,1 is -1$"):
         decompose(neg)
 
 

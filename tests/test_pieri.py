@@ -1,6 +1,7 @@
 import pytest
 
 from repstab.characters import IrrDecomposition, decompose, irr_character
+from repstab.fbmodules import parse_spec
 from repstab.partitions import Partition, partitions_of
 from repstab.pieri import (
     pieri_expand,
@@ -126,6 +127,20 @@ def test_projective_terms_match_bruteforce_on_modules():
     chi = w.character()
     for m in range(2, 6):
         assert projective_terms(w, m) == decompose(induce_bruteforce(chi, m))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ['(proj 5 "3,2" "2,2,1" "3,1,1")', '(proj 3 "2,1")', '(proj 4 "2,2" "3,1" "3,1")'],
+)
+def test_projective_terms_agree_with_table_route(spec):
+    # second route past the degree cap of induce_bruteforce: the Pieri
+    # decomposition, turned into a character and decomposed back against
+    # the character table
+    w = parse_spec(spec).base
+    for m in range(19):
+        terms = projective_terms(w, m)
+        assert decompose(terms.character()) == terms, (spec, m)
 
 
 def test_rank_rs_projective():

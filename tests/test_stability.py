@@ -224,6 +224,14 @@ def test_verify_equivalence_zero_family():
     assert report.all_bounds_hold()
 
 
+@pytest.mark.parametrize(
+    "estimator", [rank_rs_estimate, rank_pc_estimate, verify_equivalence]
+)
+def test_negative_m_max_rejected(estimator):
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        estimator(CycleModule(P(1)), -1)
+
+
 def test_report_json_shape():
     report = verify_equivalence(CycleModule(P(2)), 6)
     data = report.to_json_dict()
