@@ -140,7 +140,7 @@ def check_budget(m, budget):
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _terms(spec, m):
     match spec:
         case Projective(base=w):
@@ -174,7 +174,7 @@ def _terms(spec, m):
     raise TypeError(f"not a family constructor: {spec!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _character(spec, m):
     match spec:
         case CycleModule(nu=nu):

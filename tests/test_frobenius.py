@@ -1,3 +1,4 @@
+from repstab import fbmodules, frobenius
 from repstab.characters import IrrDecomposition, irr_char
 from repstab.cyclepoly import CharPolynomial, X, eval_rho, eval_rho_all
 from repstab.frobenius import (
@@ -5,7 +6,9 @@ from repstab.frobenius import (
     frobenius_poly_of_module,
     frobenius_poly_stable,
 )
-from repstab.partitions import Partition, cycle_types_of, partitions_of
+from repstab.partitions import Partition, classes, cycle_types_of, partitions_of
+
+from bruteforce import mn_beta_set
 
 
 def test_single_row_is_constant_one():
@@ -69,6 +72,32 @@ def test_socle_independence_structural_and_by_evaluation():
             lam = soc.pad(m)
             assert frobenius_poly(lam) == stable
             assert eval_rho_all(stable, m) == IrrDecomposition(m, {lam: 1}).character()
+
+
+def test_stable_polys_match_beta_set_reference():
+    # every socle of size <= 8, at its first admissible degree and the next,
+    # against the beta-set recursion, which shares no code with the kernel
+    for size in range(9):
+        for soc in partitions_of(size):
+            poly = frobenius_poly_stable(soc)
+            assert poly.weighted_degree() == size, soc
+            first = max(size + (soc[0] if soc else 0), 1)
+            for n in (first, first + 1):
+                shape = soc.pad(n).parts
+                value = eval_rho_all(poly, n)
+                assert value.den == 1, (soc, n)
+                expected = tuple(mn_beta_set(shape, c) for c in classes(n).cycles)
+                assert value.num == expected, (soc, n)
+
+
+def test_caches_are_bounded():
+    for cached in (
+        frobenius.frobenius_poly_stable,
+        frobenius._binomial_basis,
+        fbmodules._terms,
+        fbmodules._character,
+    ):
+        assert cached.cache_info().maxsize is not None, cached
 
 
 def test_module_polynomial_examples():
