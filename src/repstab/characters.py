@@ -12,8 +12,8 @@ from operator import add, mul, sub
 
 from . import _mnpure
 from .partitions import (
-    CycleType,
     classes,
+    cycle_types_of,
     format_cycle_type,
     parse_cycle_type,
     partitions_of,
@@ -26,7 +26,11 @@ def kernel_name():
 
 
 def clear_caches():
-    """Empty the kernel memo and every per-degree cache."""
+    """Empty the kernel memo, the character_table cache and the classes cache.
+
+    The polynomial caches of frobenius and the term and character caches of
+    fbmodules are left as they are.
+    """
     _mnpure.clear_cache()
     character_table.cache_clear()
     classes.cache_clear()
@@ -44,7 +48,7 @@ def irr_char(lam, t):
 
 def irr_dimension(lam):
     """Dimension of the irreducible module indexed by lam."""
-    return irr_char(lam, CycleType.identity(lam.size))
+    return _mnpure.char_value(lam.parts, (1,) * lam.size)
 
 
 def irr_row(lam):
@@ -61,7 +65,7 @@ def character_table(m):
     rows and columns both in the partitions_of(m) order.
     """
     table = {lam: irr_row(lam) for lam in partitions_of(m)}
-    return classes(m).types, table
+    return tuple(cycle_types_of(m)), table
 
 
 class ClassFunction:
@@ -81,7 +85,7 @@ class ClassFunction:
         index = classes(m).index
         fracs = [0] * len(index)
         for t, v in values.items():
-            j = index.get(t)
+            j = index.get(t.cycles_desc())
             if j is None:
                 raise ValueError(f"type {t} does not belong to degree {m}")
             fracs[j] = Fraction(v)
@@ -100,7 +104,7 @@ class ClassFunction:
     @classmethod
     def from_ints(cls, m, num, den=1):
         """The function num[j] / den on the j-th class of classes(m); den > 0."""
-        count = len(classes(m).types)
+        count = len(classes(m).cycles)
         if len(num) != count:
             raise ValueError(f"expected {count} values for degree {m}, got {len(num)}")
         f = cls.__new__(cls)
@@ -108,12 +112,8 @@ class ClassFunction:
         return f
 
     @classmethod
-    def from_callable(cls, m, fn):
-        return cls(m, {t: fn(t) for t in classes(m).types})
-
-    @classmethod
     def zero(cls, m):
-        return cls.from_ints(m, (0,) * len(classes(m).types))
+        return cls.from_ints(m, (0,) * len(classes(m).cycles))
 
     @property
     def values(self):
@@ -121,7 +121,7 @@ class ClassFunction:
         return _Values(self)
 
     def __call__(self, t):
-        return Fraction(self.num[classes(self.m).index[t]], self.den)
+        return Fraction(self.num[classes(self.m).index[t.cycles_desc()]], self.den)
 
     def __eq__(self, other):
         return (
@@ -207,7 +207,7 @@ class _Values(Mapping):
         return self._f(t)
 
     def __iter__(self):
-        return iter(classes(self._f.m).types)
+        return iter(cycle_types_of(self._f.m))
 
     def __len__(self):
         return len(self._f.num)
@@ -219,7 +219,7 @@ def irr_character(lam):
 
 
 def trivial_character(m):
-    return ClassFunction.from_ints(m, (1,) * len(classes(m).types))
+    return ClassFunction.from_ints(m, (1,) * len(classes(m).cycles))
 
 
 class IrrDecomposition:
@@ -273,7 +273,7 @@ class IrrDecomposition:
         return {lam.socle(): n for lam, n in self._items}
 
     def character(self):
-        acc = [0] * len(classes(self.m).types)
+        acc = [0] * len(classes(self.m).cycles)
         for lam, n in self._items:
             row = irr_row(lam)
             if n == 1:

@@ -26,7 +26,7 @@ from .partitions import (
     partitions_of,
 )
 from .pieri import pieri_expand
-from .stability import tensor_weight_check, verify_equivalence
+from .stability import tensor_weight, tensor_weight_bound_holds, verify_equivalence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,11 +103,13 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run(argv):
     """Execute one invocation; returns the exit code, output on stdout."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -295,12 +297,9 @@ def _cmd_tensorweight(args):
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     check_budget(args.m, args.budget)
-    from .characters import irr_character
-
-    product = irr_character(lam.pad(args.m)) * irr_character(mu.pad(args.m))
-    w = decompose(product).module_weight()
-    ok = tensor_weight_check(lam, mu, args.m, budget=args.budget)
+    w = tensor_weight(lam, mu, args.m)
     total = lam.size + mu.size
+    ok = tensor_weight_bound_holds(w, total, args.m)
     equality = args.m >= 2 * total
     if args.json:
         _emit(

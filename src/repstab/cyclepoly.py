@@ -217,26 +217,22 @@ def eval_rho_all(poly, m):
     monomial is then evaluated in integers on all classes at a time, from
     one column of cycle counts per variable.
     """
-    types = classes(m).types
+    cycles = classes(m).cycles
     den = lcm(*(c.denominator for c in poly.terms.values()))
-    num = [0] * len(types)
+    num = [0] * len(cycles)
     columns = {}
     for mono, coef in poly.terms.items():
-        vals = [coef.numerator * (den // coef.denominator)] * len(types)
+        vals = [coef.numerator * (den // coef.denominator)] * len(cycles)
         for v, e in mono:
             col = columns.get(v)
             if col is None:
-                col = columns[v] = [t.count(v) for t in types]
+                col = columns[v] = [c.count(v) for c in cycles]
             if e == 1:
                 vals = list(map(mul, vals, col))
             else:
                 vals = [a * x**e for a, x in zip(vals, col)]
         num = list(map(add, num, vals))
     return ClassFunction.from_ints(m, num, den)
-
-
-def weighted_degree(poly):
-    return poly.weighted_degree()
 
 
 def kernel_relations(m):

@@ -36,35 +36,38 @@ def frobenius_poly(lam):
 @lru_cache(maxsize=1024)
 def frobenius_poly_stable(soc):
     """The character polynomial shared by every irreducible with socle soc."""
-    coeffs = {}  # cycle type rho -> c_rho
+    coeffs = {}  # descending cycle tuple rho -> c_rho
     for drop in product((0, 1), repeat=len(soc)):
         mu = [p - d for p, d in zip(soc, drop)]
         if any(a < b for a, b in zip(mu, mu[1:])):
             continue  # mu is no partition, so soc/mu is no vertical strip
         lam = Partition([p for p in mu if p])
         sign = -1 if sum(drop) % 2 else 1
-        for rho, value in zip(classes(lam.size).types, irr_row(lam)):
+        for rho, value in zip(classes(lam.size).cycles, irr_row(lam)):
             coeffs[rho] = coeffs.get(rho, 0) + sign * value
-    terms = {}
-    for rho, c in coeffs.items():
-        if c:
-            for mono, b in _binomial_basis(rho).terms.items():
-                terms[mono] = terms.get(mono, 0) + c * b
-    return CharPolynomial(terms)
+    return _combine((c, _binomial_basis(rho)) for rho, c in coeffs.items() if c)
 
 
 @lru_cache(maxsize=1024)
 def _binomial_basis(rho):
-    """B_rho = prod_i C(X_i, m_i(rho)): the number of rho-typed stable subsets."""
+    """B_rho = prod_i C(X_i, m_i(rho)) for the descending cycle tuple rho:
+    the number of rho-typed stable subsets."""
     out = CharPolynomial.one()
-    for i, n in rho.items():
-        out = out * binomial_poly(X(i), n)
+    for i in set(rho):
+        out = out * binomial_poly(X(i), rho.count(i))
     return out
 
 
 def frobenius_poly_of_module(dec):
     """Sum of irreducible character polynomials weighted by multiplicities."""
-    total = CharPolynomial.zero()
-    for lam, n in dec.items():
-        total = total + n * frobenius_poly(lam)
-    return total
+    return _combine((n, frobenius_poly(lam)) for lam, n in dec.items())
+
+
+def _combine(pairs):
+    """The sum of c * poly over the (c, poly) pairs, built as one coefficient
+    dict and one CharPolynomial."""
+    terms = {}
+    for c, poly in pairs:
+        for mono, b in poly.terms.items():
+            terms[mono] = terms.get(mono, 0) + c * b
+    return CharPolynomial(terms)

@@ -4,8 +4,14 @@ A partition is a weakly decreasing tuple of positive integers; the empty
 partition is a first-class value.  Cycle types are sparse multisets
 {length -> count} with sum(length * count) equal to the ambient degree m.
 Both are immutable and hashable.
+
+A class of S_m is a partition of m (Macdonald I.1, I.7).  Inside the
+library it is keyed by its descending cycle tuple, e.g. (2, 1, 1), held
+with its position and size in classes(m).  CycleType is what the public
+API, the parsers and the JSON take and return; cycle_types_of builds it.
 """
 
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 
@@ -97,22 +103,6 @@ class Partition:
             return self
         return Partition((self.parts[0],) + self.parts)
 
-    def cycle_type(self):
-        """The cycle type whose cycle lengths are the parts of this partition."""
-        return CycleType.from_cycles(self.parts)
-
-
-def socle(lam):
-    return lam.socle()
-
-
-def weight(lam):
-    return lam.weight()
-
-
-def pad(lam, m):
-    return lam.pad(m)
-
 
 def parse_partition(text):
     """Parse comma-separated parts, e.g. '3,2,2'; '-' is the empty partition."""
@@ -167,10 +157,7 @@ class CycleType:
 
     @classmethod
     def from_cycles(cls, lengths):
-        counts = {}
-        for c in lengths:
-            counts[c] = counts.get(c, 0) + 1
-        return cls(counts)
+        return cls(Counter(lengths))
 
     @classmethod
     def identity(cls, m):
@@ -192,9 +179,6 @@ class CycleType:
         for i, n in reversed(self._counts):
             out.extend([i] * n)
         return tuple(out)
-
-    def partition(self):
-        return Partition(self.cycles_desc())
 
     def extend(self, m):
         """The same permutation viewed in a larger group: add m - self.m fixed points."""
@@ -251,49 +235,59 @@ def format_cycle_type(t):
 
 def partitions_of(m):
     """All partitions of m, in reverse-lexicographic order: (m) first, (1^m) last."""
+    return [Partition(parts) for parts in _descending_tuples(m)]
+
+
+def _descending_tuples(m):
+    """Every partition of m as a descending tuple, (m) first and (1^m) last.
+
+    Algorithm ZS1 (Zoghbi and Stojmenovic, 1998): x[:k] is the partition,
+    x[h] its last part above 1.  Each step lowers x[h] by one and regroups
+    the freed unit and the 1s after it into parts of the lowered size.
+    """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    out = []
-    _gen_partitions(m, m, [], out)
-    return out
-
-
-def _gen_partitions(remaining, cap, prefix, out):
-    if remaining == 0:
-        out.append(Partition(prefix))
-        return
-    for p in range(min(cap, remaining), 0, -1):
-        prefix.append(p)
-        _gen_partitions(remaining - p, p, prefix, out)
-        prefix.pop()
+    x, h, k = [m] + [1] * (m - 1), 0, min(m, 1)
+    yield tuple(x[:k])
+    while x[0] > 1:
+        if x[h] == 2:
+            x[h], h, k = 1, h - 1, k + 1
+        else:
+            r = x[h] - 1
+            t, x[h] = k - h, r
+            while t >= r:
+                h += 1
+                x[h], t = r, t - r
+            k = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        yield tuple(x[:k])
 
 
 def cycle_types_of(m):
     """All cycle types of degree m, aligned with the partitions_of(m) order.
 
-    A fresh list each call; the types themselves are cached by classes(m).
+    Fresh CycleType objects each call, built from classes(m).cycles.
     """
-    return list(classes(m).types)
+    return [CycleType.from_cycles(cycles) for cycles in classes(m).cycles]
 
 
 class Classes:
     """The conjugacy classes of one degree m, in the canonical order.
 
-    types: the cycle types, aligned with partitions_of(m);
-    index: type -> its position in types;
-    sizes: the class sizes, aligned with types;
-    cycles: each type's cycles_desc() tuple, aligned with types.
+    cycles: each class's descending cycle tuple, aligned with partitions_of(m);
+    index: cycle tuple -> its position in cycles;
+    sizes: the class sizes, aligned with cycles.
     """
 
-    __slots__ = ("m", "types", "index", "sizes", "cycles")
+    __slots__ = ("m", "cycles", "index", "sizes")
 
     def __init__(self, m):
-        lams = partitions_of(m)
         self.m = m
-        self.types = tuple(lam.cycle_type() for lam in lams)
-        self.index = {t: j for j, t in enumerate(self.types)}
-        self.sizes = tuple(class_size(t) for t in self.types)
-        self.cycles = tuple(lam.parts for lam in lams)
+        self.cycles = tuple(_descending_tuples(m))
+        self.index = {c: j for j, c in enumerate(self.cycles)}
+        self.sizes = tuple(map(_class_size, self.cycles))
 
 
 @lru_cache(maxsize=64)
@@ -304,7 +298,13 @@ def classes(m):
 
 def class_size(t):
     """Number of elements of S_m with cycle type t: m! / prod(i^n_i * n_i!)."""
+    return _class_size(t.cycles_desc())
+
+
+def _class_size(cycles):
+    """Size of the class with the descending cycle tuple `cycles`."""
     denom = 1
-    for i, n in t.items():
+    for i in set(cycles):
+        n = cycles.count(i)
         denom *= i**n * factorial(n)
-    return factorial(t.m) // denom
+    return factorial(sum(cycles)) // denom

@@ -122,7 +122,7 @@ def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     return n, poly
 
 
-def uniqueness_check(p, q, n, m_max, budget=DEFAULT_BUDGET):
+def uniqueness_check(p, q, n, m_max):
     """Decide whether two candidate polynomials agree, by evaluation.
 
     Returns 'distinct' when some degree in [n, m_max] separates them,
@@ -145,14 +145,9 @@ def uniqueness_check(p, q, n, m_max, budget=DEFAULT_BUDGET):
 def weight_bounded_monomials(d):
     """The monomial basis of polynomials of weight <= d: one monomial
     X_1^{n_1} ... X_d^{n_d} per partition of size <= d."""
-    monos = []
-    for j in range(d + 1):
-        for lam in partitions_of(j):
-            counts = {}
-            for part in lam:
-                counts[part] = counts.get(part, 0) + 1
-            monos.append(CharPolynomial({tuple(sorted(counts.items())): 1}))
-    return monos
+    return [
+        CharPolynomial({t.items(): 1}) for j in range(d + 1) for t in cycle_types_of(j)
+    ]
 
 
 def matrix_rank(rows):
@@ -211,7 +206,7 @@ def minimal_weight_check(dec, poly):
     )
 
 
-def scalar_stability_check(poly, m_range, budget=DEFAULT_BUDGET):
+def scalar_stability_check(poly, m_range):
     """Trivial-isotypic multiplicities <1 | evaluation of poly> must be
     constant from the weight of poly on."""
     degw = poly.weighted_degree()
@@ -286,24 +281,22 @@ def reconstruct_stable_family(spec, m_max, budget=DEFAULT_BUDGET):
     return DirectSum(tuple(children))
 
 
-def tensor_weight_check(lam, mu, m, budget=DEFAULT_BUDGET):
-    """Weight bound for a tensor product of two padded irreducibles.
+def tensor_weight(lam, mu, m):
+    """Weight of the tensor product of the irreducibles lam.pad(m) and mu.pad(m).
 
-    The weight of the product module never exceeds |lam| + |mu|, and
-    equals it once m >= 2 (|lam| + |mu|).  Raises when m is too small to
-    pad either label.
+    Raises ValueError, from Partition.pad, when m is too small to pad either label.
     """
-    for x in (lam, mu):
-        first = x.parts[0] if x else 0
-        if m < x.size + first:
-            raise ValueError(
-                f"m={m} too small to pad {format_partition(x)} (needs {x.size + first})"
-            )
     product = irr_character(lam.pad(m)) * irr_character(mu.pad(m))
-    w = decompose(product).module_weight()
-    total = lam.size + mu.size
-    if w > total:
-        return False
-    if m >= 2 * total and w != total:
-        return False
-    return True
+    return decompose(product).module_weight()
+
+
+def tensor_weight_bound_holds(w, bound, m):
+    """The weight w of a tensor product of padded irreducibles with labels
+    of bound = |lam| + |mu| boxes never exceeds bound, and equals it once
+    m >= 2 * bound."""
+    return w <= bound and (m < 2 * bound or w == bound)
+
+
+def tensor_weight_check(lam, mu, m):
+    """Whether the tensor_weight of lam and mu at m meets tensor_weight_bound_holds."""
+    return tensor_weight_bound_holds(tensor_weight(lam, mu, m), lam.size + mu.size, m)

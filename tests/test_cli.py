@@ -113,6 +113,29 @@ def test_usage_and_parse_errors_exit_1(capsys):
     assert run(["rankscan", "--spec", "(cycle 1)", "--mmax", "-1"]) == 1
 
 
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    import repstab.cli as cli_mod
+
+    def no_rebuild():
+        raise AssertionError("run() rebuilt the parser")
+
+    monkeypatch.setattr(cli_mod, "_build_parser", no_rebuild)
+    # an option given in one call must not leak into the next
+    assert run(["chartable", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 3
+    assert run(["chartable", "3"]) == 0
+    first = capsys.readouterr().out
+    assert first == (GOLDEN / "chartable_3.txt").read_text()
+    assert run(["chartable", "3"]) == 0
+    assert capsys.readouterr().out == first
+    # a usage error after a successful call still exits 1, and the next
+    # call parses normally again
+    assert run(["chartable"]) == 1
+    assert run(["chartable", "3", "--bogus"]) == 1
+    assert run(["chartable", "3"]) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_budget_errors_exit_2(capsys):
     assert run(["chartable", "15"]) == 2
     assert run(["rankscan", "--spec", "(cycle 1)", "--mmax", "15"]) == 2
@@ -134,7 +157,7 @@ def test_bound_check_failure_exit_3(capsys, monkeypatch):
     assert run(["rankscan", "--spec", "(vfam 1)", "--mmax", "3"]) == 3
     assert "FAILED" in capsys.readouterr().out
 
-    monkeypatch.setattr(cli_mod, "tensor_weight_check", lambda *a, **k: False)
+    monkeypatch.setattr(cli_mod, "tensor_weight_bound_holds", lambda *a, **k: False)
     assert run(["tensorweight", "1", "1", "4"]) == 3
 
 

@@ -7,6 +7,7 @@ from repstab.partitions import (
     CycleType,
     Partition,
     class_size,
+    classes,
     cycle_types_of,
     format_cycle_type,
     format_partition,
@@ -110,6 +111,8 @@ def test_class_sizes_against_enumeration():
         expected = class_sizes_by_enumeration(m)
         for t in cycle_types_of(m):
             assert class_size(t) == expected.get(t.cycles_desc(), 1 if m == 0 else 0)
+        record = classes(m)
+        assert dict(zip(record.cycles, record.sizes)) == expected
 
 
 def test_class_sizes_sum_to_group_order():

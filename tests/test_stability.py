@@ -14,6 +14,7 @@ from repstab.fbmodules import (
     VFamily,
     cycle_poly,
     cycle_poly_product,
+    parse_spec,
     terms_at,
 )
 from repstab.partitions import Partition, partitions_of
@@ -230,6 +231,30 @@ def test_verify_equivalence_zero_family():
 def test_negative_m_max_rejected(estimator):
     with pytest.raises(ValueError, match="degree must be nonnegative"):
         estimator(CycleModule(P(1)), -1)
+
+
+def test_cold_pieri_scan_builds_no_cycle_type(monkeypatch):
+    # inside the library a class is its cycle tuple; CycleType objects are
+    # built only at the API edge, which a rank scan never reaches
+    from repstab import characters, fbmodules, frobenius
+    from repstab.partitions import CycleType
+
+    characters.clear_caches()
+    frobenius.frobenius_poly_stable.cache_clear()
+    frobenius._binomial_basis.cache_clear()
+    fbmodules._terms.cache_clear()
+    fbmodules._character.cache_clear()
+    built = []
+    init = CycleType.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CycleType, "__init__", counting_init)
+    report = verify_equivalence(parse_spec('(proj 3 "2,1")'), 12)
+    assert report.all_bounds_hold()
+    assert built == []
 
 
 def test_report_json_shape():
