@@ -6,12 +6,12 @@ Character values come from the Murnaghan-Nakayama recursion in `_mnpure`.
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import add, mul, sub
 
 from . import _mnpure
 from .partitions import (
+    Partition,
     classes,
     cycle_types_of,
     format_cycle_type,
@@ -26,13 +26,12 @@ def kernel_name():
 
 
 def clear_caches():
-    """Empty the kernel memo, the character_table cache and the classes cache.
+    """Empty the kernel memo and the classes cache.
 
     The polynomial caches of frobenius and the term and character caches of
     fbmodules are left as they are.
     """
     _mnpure.clear_cache()
-    character_table.cache_clear()
     classes.cache_clear()
 
 
@@ -57,9 +56,8 @@ def irr_row(lam):
     return _mnpure.char_row(lam.parts, classes(lam.size).cycles)
 
 
-@lru_cache(maxsize=64)
 def character_table(m):
-    """Full character table of degree m.
+    """Full character table of degree m, computed afresh on each call.
 
     Returns (types, {partition: tuple of integer values aligned with types}),
     rows and columns both in the partitions_of(m) order.
@@ -234,6 +232,8 @@ class IrrDecomposition:
         self.m = m
         acc = {}
         for lam, n in dict(mults).items():
+            if n != int(n):
+                raise ValueError(f"non-integral multiplicity {n} for {lam}")
             n = int(n)
             if n < 0:
                 raise ValueError(f"negative multiplicity {n} for {lam}")
@@ -290,9 +290,6 @@ class IrrDecomposition:
             acc[lam] = acc.get(lam, 0) + n
         return IrrDecomposition(self.m, acc)
 
-    def scale(self, c):
-        return IrrDecomposition(self.m, {lam: c * n for lam, n in self._items})
-
     def __eq__(self, other):
         return (
             isinstance(other, IrrDecomposition)
@@ -335,23 +332,31 @@ def inner_product(f, g):
 def decompose(f):
     """Write the class function f as a sum of irreducible characters.
 
-    Each multiplicity is one integer dot product of a table row with the
-    size-weighted numerators of f, divided by m! * f.den.  Raises
-    ValueError("not a character ...") when any multiplicity is negative
-    or non-integral.
+    Rows come one at a time in the partitions_of(m) order; a multiplicity
+    is the dot product of a row with the size-weighted numerators of f,
+    over m! * f.den.  Irreducible characters are orthonormal (Macdonald
+    I.7), so once the squared multiplicities add up to <f, f> every later
+    one is 0 and the scan stops.  Raises ValueError("not a character ...")
+    on a negative or non-integral multiplicity.
     """
     m = f.m
-    _, table = character_table(m)
+    cls = classes(m)
     order = factorial(m) * f.den
-    weights = list(map(mul, classes(m).sizes, f.num))
+    weights = list(map(mul, cls.sizes, f.num))
+    # order^2 * (<f, f> - the squared multiplicities found so far)
+    remainder = factorial(m) * sum(map(mul, weights, f.num))
     mults = {}
-    for lam, row in table.items():
-        total = sum(map(mul, weights, row))
+    for parts in cls.cycles:
+        if not remainder:
+            break
+        total = sum(map(mul, weights, _mnpure.char_row(parts, cls.cycles)))
         n, rem = divmod(total, order)
         if rem or n < 0:
             raise ValueError(
-                f"not a character: multiplicity of {lam} is {Fraction(total, order)}"
+                f"not a character: multiplicity of {Partition(parts)} is "
+                f"{Fraction(total, order)}"
             )
         if n:
-            mults[lam] = n
+            mults[Partition(parts)] = n
+            remainder -= total * total
     return IrrDecomposition(m, mults)

@@ -17,7 +17,7 @@ from .characters import ClassFunction, character_table, decompose
 from .cyclepoly import eval_rho_all, format_poly, parse_poly
 from .errors import BudgetError, ParseError
 from .fbmodules import DEFAULT_BUDGET, check_budget, cycle_poly, parse_spec
-from .frobenius import frobenius_poly, frobenius_poly_stable
+from .frobenius import frobenius_poly_stable
 from .partitions import (
     cycle_types_of,
     format_cycle_type,
@@ -171,14 +171,12 @@ def _cmd_chartable(args):
 
 
 def _cmd_frobpoly(args):
-    if args.label.startswith("socle:"):
-        soc = parse_partition(args.label[len("socle:") :])
-        poly = frobenius_poly_stable(soc)
-        key, value = "socle", format_partition(soc)
-    else:
-        lam = parse_partition(args.label)
-        poly = frobenius_poly(lam)
-        key, value = "partition", format_partition(lam)
+    is_socle = args.label.startswith("socle:")
+    lam = parse_partition(args.label[len("socle:") :] if is_socle else args.label)
+    soc = lam if is_socle else lam.socle()
+    check_budget(soc.size, args.budget)  # kernel rows go up to degree |soc|
+    poly = frobenius_poly_stable(soc)
+    key, value = ("socle" if is_socle else "partition"), format_partition(lam)
     if args.json:
         _emit(
             {

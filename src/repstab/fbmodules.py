@@ -5,13 +5,14 @@ A family is described by a finite tree of constructors: induced
 modules on cycles, tensor products, direct sums, degree truncation, and
 weight truncation.  Evaluating a family at a degree m yields its
 decomposition into irreducibles (terms_at) or its character
-(character_at).  Decompositions require enumerating all partitions of m,
-so evaluation is guarded by an explicit degree budget.
+(character_at).  Every evaluation runs over the p(m) conjugacy classes
+of S_m, so it is guarded by an explicit degree budget.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .characters import ClassFunction, IrrDecomposition, decompose
 from .cyclepoly import CharPolynomial, X, eval_rho_all, falling_factorial
@@ -178,7 +179,7 @@ def _terms(spec, m):
 def _character(spec, m):
     match spec:
         case CycleModule(nu=nu):
-            return eval_rho_all(cycle_poly_product(nu), m)
+            return cycle_module_char(nu, m)
         case Tensor(left=left, right=right):
             return _character(left, m) * _character(right, m)
         case DirectSum(children=children):
@@ -194,14 +195,7 @@ def _character(spec, m):
 
 
 def _totient(n):
-    count = 0
-    for k in range(1, n + 1):
-        a, b = k, n
-        while b:
-            a, b = b, a % b
-        if a == 1:
-            count += 1
-    return count
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 def cycle_poly(ell):

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repstab import _mnpure, characters
 from repstab.characters import (
     ClassFunction,
     IrrDecomposition,
@@ -17,12 +19,15 @@ from repstab.characters import (
     trivial_character,
 )
 from repstab.errors import BudgetError
+from repstab.fbmodules import character_at, parse_spec
 from repstab.partitions import CycleType, Partition, cycle_types_of, partitions_of
 
 from bruteforce import (
+    class_sizes_by_enumeration,
     cycle_lengths,
     hook_length_dimension,
     induce_bruteforce,
+    mn_beta_set,
     sign_of,
     standard_rep_character,
 )
@@ -160,6 +165,86 @@ def test_decompose_roundtrip(m, data):
     )
     d = IrrDecomposition(m, mults)
     assert decompose(d.character()) == d
+
+
+def test_decompose_stops_after_the_last_factor(monkeypatch):
+    f = character_at(parse_spec("(cycle 2 1)"), 17, budget=17)
+    characters.clear_caches()
+    rows = []
+    char_row = _mnpure.char_row
+
+    def counted(shape, cycle_list):
+        rows.append(shape)
+        return char_row(shape, cycle_list)
+
+    monkeypatch.setattr(_mnpure, "char_row", counted)
+    d = decompose(f)
+    order = [lam.parts for lam in partitions_of(17)]
+    last = max(order.index(lam.parts) for lam in d.support())
+    assert rows == order[: last + 1]
+    assert len(rows) == 6  # of the 297 rows of degree 17
+
+
+_sizes_by_enumeration = cache(class_sizes_by_enumeration)
+
+
+def reference_decompose(m, num):
+    """Every row in the partitions_of(m) order, from the beta-set kernel
+    and class sizes counted over the whole group."""
+    sizes = _sizes_by_enumeration(m)
+    cycles = [t.cycles_desc() for t in cycle_types_of(m)]
+    mults = {}
+    for lam in partitions_of(m):
+        a = Fraction(
+            sum(sizes[c] * v * mn_beta_set(lam.parts, c) for c, v in zip(cycles, num)),
+            factorial(m),
+        )
+        if a.denominator != 1 or a < 0:
+            raise ValueError(f"not a character: multiplicity of {lam} is {a}")
+        mults[lam] = a
+    return IrrDecomposition(m, mults)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def integer_class_functions(draw):
+    """A character plus integer noise on the classes; the noise is often 0."""
+    m = draw(st.integers(0, 7))
+    lams = partitions_of(m)
+    mults = draw(st.dictionaries(st.sampled_from(lams), st.integers(0, 3), max_size=4))
+    noise = draw(
+        st.one_of(
+            st.just([0] * len(lams)),
+            st.lists(st.integers(-3, 3), min_size=len(lams), max_size=len(lams)),
+        )
+    )
+    num = [a + b for a, b in zip(IrrDecomposition(m, mults).character().num, noise)]
+    return m, num
+
+
+@settings(deadline=None, max_examples=200)
+@given(integer_class_functions())
+def test_decompose_matches_full_table_reference(case):
+    m, num = case
+    assert outcome(decompose, ClassFunction.from_ints(m, num)) == outcome(
+        reference_decompose, m, num
+    )
+
+
+def test_irr_decomposition_rejects_non_integral_multiplicities():
+    with pytest.raises(ValueError, match="^non-integral multiplicity 1/2 for 3$"):
+        IrrDecomposition(3, {Partition([3]): Fraction(1, 2), Partition([2, 1]): 2.7})
+    with pytest.raises(ValueError, match="^non-integral multiplicity 2.7 for 2,1$"):
+        IrrDecomposition(3, {Partition([2, 1]): 2.7})
+    assert IrrDecomposition(3, {Partition([3]): Fraction(4, 2)}).multiplicity(
+        Partition([3])
+    ) == 2
 
 
 def test_character_table_shape():

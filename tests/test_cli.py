@@ -142,6 +142,15 @@ def test_budget_errors_exit_2(capsys):
     assert run(["chartable", "15", "--budget", "15"]) == 0
 
 
+def test_frobpoly_budget_caps_the_socle_size(capsys):
+    # the polynomial of socle s takes kernel rows up to degree |s|
+    assert run(["frobpoly", "socle:9,9", "--budget", "3"]) == 2
+    assert "exceeds the enumeration budget 3" in capsys.readouterr().err
+    assert run(["frobpoly", "20,9,9", "--budget", "3"]) == 2
+    assert run(["frobpoly", "socle:2,1", "--budget", "3"]) == 0
+    assert run(["frobpoly", "20,2,1", "--budget", "3"]) == 0
+
+
 def test_bound_check_failure_exit_3(capsys, monkeypatch):
     # the library's own families never violate the theorem bounds, so force
     # a failing report to exercise the exit-code mapping
