@@ -26,7 +26,7 @@ def kernel_name():
 
 
 def clear_caches():
-    """Empty the kernel memo and the classes cache.
+    """Empty the kernel's row cache and the classes cache.
 
     The polynomial caches of frobenius and the term and character caches of
     fbmodules are left as they are.
@@ -46,14 +46,15 @@ def irr_char(lam, t):
 
 
 def irr_dimension(lam):
-    """Dimension of the irreducible module indexed by lam."""
-    return _mnpure.char_value(lam.parts, (1,) * lam.size)
+    """Dimension of the irreducible module indexed by lam: its value on
+    the identity, (1,) * |lam|, the last class of the canonical order."""
+    return _mnpure.char_row(lam.parts)[-1]
 
 
 def irr_row(lam):
     """Values of the irreducible character indexed by lam, as a tuple of
     ints aligned with the canonical class order of degree |lam|."""
-    return _mnpure.char_row(lam.parts, classes(lam.size).cycles)
+    return _mnpure.char_row(lam.parts)
 
 
 def character_table(m):
@@ -349,7 +350,7 @@ def decompose(f):
     for parts in cls.cycles:
         if not remainder:
             break
-        total = sum(map(mul, weights, _mnpure.char_row(parts, cls.cycles)))
+        total = sum(map(mul, weights, _mnpure.char_row(parts)))
         n, rem = divmod(total, order)
         if rem or n < 0:
             raise ValueError(

@@ -279,15 +279,28 @@ class Classes:
     cycles: each class's descending cycle tuple, aligned with partitions_of(m);
     index: cycle tuple -> its position in cycles;
     sizes: the class sizes, aligned with cycles.
+
+    The order is reverse-lexicographic, so the classes whose largest cycle
+    is at most k form a suffix of cycles; start(k) is where it begins.
     """
 
-    __slots__ = ("m", "cycles", "index", "sizes")
+    __slots__ = ("m", "cycles", "index", "sizes", "_starts")
 
     def __init__(self, m):
         self.m = m
         self.cycles = tuple(_descending_tuples(m))
         self.index = {c: j for j, c in enumerate(self.cycles)}
         self.sizes = tuple(map(_class_size, self.cycles))
+        # _starts[k] for 0 <= k < m: the first class whose largest cycle
+        # is k, found in one backward pass (every k in 1..m occurs)
+        starts = [len(self.cycles)] * m
+        for j in range(len(self.cycles) - 1, 0, -1):
+            starts[self.cycles[j][0]] = j
+        self._starts = tuple(starts)
+
+    def start(self, k):
+        """Index of the first class whose largest cycle is at most k (k >= 0)."""
+        return self._starts[k] if k < self.m else 0
 
 
 @lru_cache(maxsize=64)

@@ -173,9 +173,9 @@ def test_decompose_stops_after_the_last_factor(monkeypatch):
     rows = []
     char_row = _mnpure.char_row
 
-    def counted(shape, cycle_list):
+    def counted(shape):
         rows.append(shape)
-        return char_row(shape, cycle_list)
+        return char_row(shape)
 
     monkeypatch.setattr(_mnpure, "char_row", counted)
     d = decompose(f)

@@ -100,6 +100,17 @@ def test_partitions_of_distinct_and_sorted():
         assert all(p.size == m for p in ps)
 
 
+def test_class_starts_against_scan():
+    for j in range(13):
+        cls = classes(j)
+        for k in range(j + 3):
+            first = next(
+                (i for i, c in enumerate(cls.cycles) if all(x <= k for x in c)),
+                len(cls.cycles),
+            )
+            assert cls.start(k) == first, (j, k)
+
+
 def test_class_size_examples():
     assert class_size(CycleType({1: 3})) == 1
     assert class_size(CycleType({3: 1})) == 2
