@@ -153,23 +153,40 @@ def test_parse_examples():
     assert parse_poly(" - X3 + 4 ") == 4 - X(3)
 
 
+# (text, message, pos) for malformed polynomials, quirks included: the
+# index of "X 0" is reported where it was expected (just after X), and a
+# zero exponent just after its digits
+POLY_ERRORS = [
+    ("", "empty polynomial", 0),
+    ("   ", "empty polynomial", 3),
+    ("X 0", "variables start at X1", 1),
+    ("X0", "variables start at X1", 1),
+    ("X1^0 ", "exponents must be positive", 4),
+    ("X1^ 00", "exponents must be positive", 6),
+    ("1/0", "zero denominator", 2),
+    ("1/ 0", "zero denominator", 3),
+    ("2*", "expected variable, found ''", 2),
+    ("X1 + Y2", "expected variable, found 'Y'", 5),
+    ("X1 + + X2", "expected variable, found '+'", 5),
+    ("X1 X2", "expected '+' or '-', found 'X'", 3),
+    ("X1 23", "expected '+' or '-', found '2'", 3),
+    ("X", "expected integer, found ''", 1),
+    ("X  ", "expected integer, found ''", 3),
+    ("X^2", "expected integer, found '^'", 1),
+    ("1/", "expected integer, found ''", 2),
+    ("2*3", "expected variable, found '3'", 2),
+    ("- - X1", "expected variable, found '-'", 2),
+    ("X1^2^3", "expected '+' or '-', found '^'", 4),
+    ("X1 +", "expected variable, found ''", 4),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError, match="X1"):
-        parse_poly("X0")
-    with pytest.raises(ParseError):
-        parse_poly("2*")
-    with pytest.raises(ParseError):
-        parse_poly("X1 + + X2")
-    with pytest.raises(ParseError):
-        parse_poly("1/0")
-    with pytest.raises(ParseError):
-        parse_poly("")
-    err = None
-    try:
-        parse_poly("X1 + Y2")
-    except ParseError as exc:
-        err = exc
-    assert err is not None and err.pos == 5
+    for text, message, pos in POLY_ERRORS:
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert str(info.value) == f"{message} (at position {pos})", text
+        assert info.value.pos == pos, text
 
 
 def test_print_parse_roundtrip_random():

@@ -236,21 +236,55 @@ def test_spec_language_examples():
     assert parse_spec("(sum)") == DirectSum(())
 
 
+# (text, message, pos) for malformed specs.  A string is closed before
+# anything is parsed, a node's arguments are read before its head is
+# checked, and a truncation reads its family before its integer.
+SPEC_ERRORS = [
+    ("", "unexpected end of input", 0),
+    ("   ", "unexpected end of input", 0),
+    ('(proj 3 "2,1', "unterminated string", 8),
+    ('(frob "x', "unterminated string", 6),
+    ("(", "expected a constructor name", 0),
+    ("vfam 1", "expected '(' to open an expression", 0),
+    (")", "expected '(' to open an expression", 0),
+    ('("vfam" 1)', "expected a constructor name", 0),
+    ("(vfam 1", "missing ')'", 0),
+    ("(sum (vfam 1)", "missing ')'", 0),
+    ("(frob 1", "missing ')'", 0),
+    ("(vfam 1) extra", "trailing input after expression", 9),
+    ("(vfam 1))", "trailing input after expression", 8),
+    ("(vfam)", "(vfam parts [padded]) needs a partition", 0),
+    ("(vfam 2,1 sideways)", "unknown convention 'sideways'", 10),
+    ("(vfam 1 padded x)", "too many arguments to vfam", 0),
+    ("(vfam 1 (vfam 1))", "expected a plain atom", 0),
+    ('(vfam "2,x")', "bad partition part 'x'", 2),
+    ("(proj)", '(proj n "parts" ...) needs a degree', 0),
+    ('(proj 3 "2,2")', "Partition([2, 2]) is not a partition of 3", 0),
+    ("(proj x)", "expected an integer, got 'x'", 6),
+    ('(proj 3 "2,1" (vfam 1))', "expected a plain atom", 0),
+    ("(cycle)", "(cycle parts...) needs at least one part", 0),
+    ("(cycle 0)", "partition parts must be positive, got 0", 0),
+    ("(cycle 2 y)", "expected an integer, got 'y'", 9),
+    ("(tensor (vfam 1))", "(tensor a b) takes exactly two factors", 0),
+    ("(tensor (vfam 1) 2)", "expected a sub-expression", 17),
+    ("(sum 1)", "expected a sub-expression", 5),
+    ("(trunc>= x (cycle 2))", "expected an integer, got 'x'", 9),
+    ("(trunc>= 1 2)", "expected a sub-expression", 11),
+    ("(trunc>= x 2)", "expected a sub-expression", 11),
+    ("(trunc>= 5)", "(trunc>= n expr) takes a cutoff and a family", 0),
+    ("(wtrunc<= 1)", "(wtrunc<= p expr) takes a bound and a family", 0),
+    ("(wtrunc> 1 2 3)", "(wtrunc> p expr) takes a bound and a family", 0),
+    ("(frob 1)", "unknown constructor 'frob'", 0),
+    ("(frob (vfam))", "(vfam parts [padded]) needs a partition", 6),
+]
+
+
 def test_spec_language_errors():
-    for bad in [
-        "",
-        "(",
-        "(vfam)",
-        "(vfam 2,1 sideways)",
-        "(frob 1)",
-        "(tensor (vfam 1))",
-        "(cycle)",
-        '(proj 3 "2,2")',
-        "(trunc>= x (cycle 2))",
-        "(vfam 1) extra",
-    ]:
-        with pytest.raises(ParseError):
-            parse_spec(bad)
+    for text, message, pos in SPEC_ERRORS:
+        with pytest.raises(ParseError) as info:
+            parse_spec(text)
+        assert str(info.value) == f"{message} (at position {pos})", text
+        assert info.value.pos == pos, text
 
 
 def test_spec_print_parse_roundtrip():
