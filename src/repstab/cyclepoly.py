@@ -11,6 +11,7 @@ Fractions.  The weight of the zero polynomial is the sentinel NEG_INF,
 which compares below every integer.
 """
 
+import re
 from fractions import Fraction
 from math import factorial, lcm
 from operator import add, mul
@@ -128,26 +129,10 @@ class CharPolynomial:
             return NEG_INF
         return max(sum(v * e for v, e in mono) for mono in self.terms)
 
-    def degree(self):
-        """Plain degree with deg(X_i) = 1; NEG_INF for the zero polynomial."""
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e for _, e in mono) for mono in self.terms)
-
     def variables(self):
         return sorted({v for mono in self.terms for v, _ in mono})
 
     # -- evaluation -------------------------------------------------------
-
-    def eval_counts(self, count_fn):
-        """Evaluate with X_i := count_fn(i)."""
-        total = Fraction(0)
-        for mono, coef in self.terms.items():
-            val = coef
-            for v, e in mono:
-                val *= Fraction(count_fn(v)) ** e
-            total += val
-        return total
 
     def substitute(self, mapping):
         """Substitute whole polynomials for variables: X_i := mapping[i].
@@ -207,7 +192,13 @@ def binomial_poly(p, k):
 
 def eval_rho(poly, t):
     """Evaluate at the cycle type t: X_i := number of i-cycles of t."""
-    return poly.eval_counts(t.count)
+    total = Fraction(0)
+    for mono, coef in poly.terms.items():
+        val = coef
+        for v, e in mono:
+            val *= t.count(v) ** e
+        total += val
+    return total
 
 
 def eval_rho_all(poly, m):
@@ -306,119 +297,93 @@ def format_poly(poly):
     return " ".join(pieces)
 
 
-class _PolyParser:
-    """Recursive-descent parser for the polynomial grammar.
+# an integer, or any other single character; whitespace only separates
+_POLY_TOKEN = re.compile(r"(?P<int>\d+)|(?P<sym>\S)")
+
+
+def parse_poly(text):
+    """Parse the grammar of format_poly; whitespace is insignificant.
 
     poly   := ['-'] term (('+'|'-') term)*
     term   := coef ['*' mono] | mono
     coef   := INT ['/' INT]
     mono   := factor ('*' factor)*
     factor := 'X' INT ['^' INT]
+
+    Raises ParseError at the offending token.
     """
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def parse(self):
-        poly = CharPolynomial.zero()
-        self._skip_ws()
-        if self._eof():
-            raise ParseError("empty polynomial", self.pos)
-        sign = self._read_sign(optional=True)
-        poly = poly + sign * self._term()
-        self._skip_ws()
-        while not self._eof():
-            sign = self._read_sign(optional=False)
-            poly = poly + sign * self._term()
-            self._skip_ws()
-        return poly
-
-    def _term(self):
-        self._skip_ws()
-        if self._peek().isdigit():
-            coef = self._coef()
-            self._skip_ws()
-            if self._peek() == "*":
-                self.pos += 1
-                return coef * self._mono()
-            return CharPolynomial.constant(coef)
-        return self._mono()
-
-    def _coef(self):
-        num = self._int()
-        self._skip_ws()
-        if self._peek() == "/":
-            self.pos += 1
-            self._skip_ws()
-            start = self.pos
-            den = self._int()
-            if den == 0:
-                raise ParseError("zero denominator", start)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def _mono(self):
-        out = self._factor()
-        self._skip_ws()
-        while self._peek() == "*":
-            self.pos += 1
-            out = out * self._factor()
-            self._skip_ws()
-        return out
-
-    def _factor(self):
-        self._skip_ws()
-        if self._peek() != "X":
-            raise ParseError(f"expected variable, found {self._peek()!r}", self.pos)
-        self.pos += 1
-        start = self.pos
-        idx = self._int()
-        if idx < 1:
-            raise ParseError("variables start at X1", start)
-        exp = 1
-        self._skip_ws()
-        if self._peek() == "^":
-            self.pos += 1
-            self._skip_ws()
-            exp = self._int()
-            if exp < 1:
-                raise ParseError("exponents must be positive", self.pos)
-        return CharPolynomial({((idx, exp),): 1})
-
-    def _int(self):
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ParseError(f"expected integer, found {self._peek()!r}", start)
-        return int(self.text[start : self.pos])
-
-    def _read_sign(self, optional):
-        self._skip_ws()
-        ch = self._peek()
-        if ch == "+":
-            self.pos += 1
-            return 1
-        if ch == "-":
-            self.pos += 1
-            return -1
-        if optional:
-            return 1
-        raise ParseError(f"expected '+' or '-', found {ch!r}", self.pos)
-
-    def _peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _eof(self):
-        return self.pos >= len(self.text)
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    toks = [(m.lastgroup, m[0], m.start()) for m in _POLY_TOKEN.finditer(text)]
+    toks.append(("end", "", len(text)))
+    toks.reverse()  # the next token is toks[-1]; "end" is never popped
+    if len(toks) == 1:
+        raise ParseError("empty polynomial", len(text))
+    poly = _sign(toks, optional=True) * _term(toks)
+    while toks[-1][0] != "end":
+        poly = poly + _sign(toks) * _term(toks)
+    return poly
 
 
-def parse_poly(text):
-    """Parse the grammar of format_poly; whitespace is insignificant."""
-    return _PolyParser(text).parse()
+def _take(toks, sym):
+    """Pop and return the next token if it is the symbol sym, else None."""
+    if toks[-1][:2] == ("sym", sym):
+        return toks.pop()
+    return None
+
+
+def _unexpected(toks, wanted):
+    _, tok, pos = toks[-1]
+    return ParseError(f"expected {wanted}, found {tok[:1]!r}", pos)
+
+
+def _int(toks):
+    """Pop the next token, which must be an integer: (value, start, end)."""
+    if toks[-1][0] != "int":
+        raise _unexpected(toks, "integer")
+    _, digits, pos = toks.pop()
+    return int(digits), pos, pos + len(digits)
+
+
+def _sign(toks, optional=False):
+    if _take(toks, "+"):
+        return 1
+    if _take(toks, "-"):
+        return -1
+    if optional:
+        return 1
+    raise _unexpected(toks, "'+' or '-'")
+
+
+def _term(toks):
+    if toks[-1][0] != "int":
+        return _mono(toks)
+    coef = Fraction(_int(toks)[0])
+    if _take(toks, "/"):
+        den, pos, _ = _int(toks)
+        if den == 0:
+            raise ParseError("zero denominator", pos)
+        coef /= den
+    if _take(toks, "*"):
+        return coef * _mono(toks)
+    return CharPolynomial.constant(coef)
+
+
+def _mono(toks):
+    out = _factor(toks)
+    while _take(toks, "*"):
+        out = out * _factor(toks)
+    return out
+
+
+def _factor(toks):
+    x = _take(toks, "X")
+    if x is None:
+        raise _unexpected(toks, "variable")
+    idx = _int(toks)[0]
+    if idx < 1:
+        raise ParseError("variables start at X1", x[2] + 1)
+    exp = 1
+    if _take(toks, "^"):
+        exp, _, end = _int(toks)
+        if exp < 1:
+            raise ParseError("exponents must be positive", end)
+    return CharPolynomial({((idx, exp),): 1})

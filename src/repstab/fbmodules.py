@@ -9,6 +9,8 @@ decomposition into irreducibles (terms_at) or its character
 of S_m, so it is guarded by an explicit degree budget.
 """
 
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -208,13 +210,17 @@ def cycle_poly(ell):
     if ell < 1:
         raise ValueError("cycle length must be positive")
     out = _totient(ell) * X(ell)
-    for d in range(1, ell):
-        if ell % d:
-            continue
-        e = ell // d
-        coef = Fraction(_totient(d) * d**e, ell)
+    for d, e, coef in _divisor_terms(ell):
         out = out + coef * falling_factorial(X(d), e)
     return out
+
+
+def _divisor_terms(ell):
+    """(d, e, phi(d) d^e / ell) for each proper divisor d of ell, e = ell/d."""
+    for d in range(1, ell):
+        if ell % d == 0:
+            e = ell // d
+            yield d, e, Fraction(_totient(d) * d**e, ell)
 
 
 def cycle_poly_product(nu):
@@ -243,22 +249,13 @@ def express_X_in_E(n):
     qs = []
     for ell in range(1, n + 1):
         expr = X(ell)
-        for d in range(1, ell):
-            if ell % d:
-                continue
-            e = ell // d
-            coef = Fraction(_totient(d) * d**e, ell)
+        for d, e, coef in _divisor_terms(ell):
             expr = expr - coef * falling_factorial(qs[d - 1], e)
         qs.append(expr / _totient(ell))
     return qs
 
 
 # -- weights ------------------------------------------------------------------
-
-
-def module_weight(dec):
-    """Largest weight among the factors of a decomposition; 0 if zero module."""
-    return dec.module_weight()
 
 
 def weight_truncate(dec, p):
@@ -269,6 +266,17 @@ def weight_truncate(dec, p):
 
 
 # -- the expression language ---------------------------------------------------
+
+# head -> (class, name of its integer argument, what that integer is)
+_TRUNCATIONS = {
+    "trunc>=": (Truncate, "n", "a cutoff"),
+    "wtrunc<=": (WeightTruncateLE, "p", "a bound"),
+    "wtrunc>": (WeightTruncateGT, "p", "a bound"),
+}
+
+_SPEC_TOKEN = re.compile(
+    r'(?P<open>\()|(?P<close>\))|"(?P<str>[^"]*)"|(?P<quote>")|(?P<atom>[^\s()"]+)'
+)
 
 
 def format_spec(spec):
@@ -291,12 +299,9 @@ def format_spec(spec):
         case DirectSum(children=children):
             inner = " ".join(format_spec(c) for c in children)
             return f"(sum {inner})" if inner else "(sum)"
-        case Truncate(child=child, cutoff=cutoff):
-            return f"(trunc>= {cutoff} {format_spec(child)})"
-        case WeightTruncateLE(child=child, p=p):
-            return f"(wtrunc<= {p} {format_spec(child)})"
-        case WeightTruncateGT(child=child, p=p):
-            return f"(wtrunc> {p} {format_spec(child)})"
+        case Truncate(child, n) | WeightTruncateLE(child, n) | WeightTruncateGT(child, n):
+            head = next(h for h, row in _TRUNCATIONS.items() if row[0] is type(spec))
+            return f"({head} {n} {format_spec(child)})"
     raise TypeError(f"not a family constructor: {spec!r}")
 
 
@@ -304,135 +309,101 @@ def parse_spec(text):
     """Parse the s-expression family language, e.g.
     (tensor (vfam 1) (vfam 1)), (cycle 2 1), (proj 3 "2,1"),
     (trunc>= 5 (cycle 2)), (wtrunc<= 1 (proj 2 "1,1")), (sum ...)."""
-    tokens = _tokenize_spec(text)
-    spec, rest = _parse_node(tokens)
-    if rest:
-        raise ParseError("trailing input after expression", rest[0][1])
+    toks = []
+    for m in _SPEC_TOKEN.finditer(text):
+        if m.lastgroup == "quote":
+            raise ParseError("unterminated string", m.start())
+        toks.append((m.lastgroup, m[m.lastgroup], m.start()))
+    if not toks:
+        raise ParseError("unexpected end of input", 0)
+    toks.reverse()  # the next token is toks[-1]
+    spec = _node(toks)
+    if toks:
+        raise ParseError("trailing input after expression", toks[-1][2])
     return spec
 
 
-def _tokenize_spec(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append((ch, i))
-            i += 1
-        elif ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string", i)
-            tokens.append(("str:" + text[i + 1 : j], i))
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            tokens.append(("atom:" + text[i:j], i))
-            i = j
-    return tokens
+def _node(toks):
+    """Pop one parenthesised node and build its family.
 
-
-def _parse_node(tokens):
-    if not tokens:
-        raise ParseError("unexpected end of input", 0)
-    tok, pos = tokens[0]
-    if tok != "(":
-        raise ParseError(f"expected '(' to open an expression", pos)
-    if len(tokens) < 2 or not tokens[1][0].startswith("atom:"):
+    Arguments are read, and sub-nodes built, before the head is checked.
+    """
+    kind, _, pos = toks.pop()
+    if kind != "open":
+        raise ParseError("expected '(' to open an expression", pos)
+    if not toks or toks[-1][0] != "atom":
         raise ParseError("expected a constructor name", pos)
-    head = tokens[1][0][5:]
-    rest = tokens[2:]
+    head = toks.pop()[1]
     args = []
-    while rest and rest[0][0] != ")":
-        if rest[0][0] == "(":
-            node, rest = _parse_node(rest)
-            args.append(node)
-        else:
-            args.append(rest[0])
-            rest = rest[1:]
-    if not rest:
+    while toks and toks[-1][0] != "close":
+        args.append(_node(toks) if toks[-1][0] == "open" else toks.pop())
+    if not toks:
         raise ParseError("missing ')'", pos)
-    rest = rest[1:]  # drop ')'
-    return _build_node(head, args, pos), rest
+    toks.pop()
+    return _build(head, args, pos)
 
 
-def _atom(arg, default_pos):
-    if isinstance(arg, tuple) and isinstance(arg[0], str) and arg[0].startswith("atom:"):
-        return arg[0][5:], arg[1]
-    raise ParseError("expected a plain atom", default_pos)
+def _build(head, args, pos):
+    """The family of one node; args holds families and (kind, text, pos)
+    tokens, and pos is where the node opens."""
 
+    def atom(arg):
+        if isinstance(arg, tuple) and arg[0] == "atom":
+            return arg[1], arg[2]
+        raise ParseError("expected a plain atom", pos)
 
-def _build_node(head, args, pos):
-    def want_int(arg):
-        text, p = _atom(arg, pos)
+    def integer(arg):
+        text, p = atom(arg)
         if not (text.isdigit() or (text[:1] == "-" and text[1:].isdigit())):
             raise ParseError(f"expected an integer, got {text!r}", p)
         return int(text)
 
-    def want_partition(arg):
-        if isinstance(arg, tuple) and arg[0].startswith("str:"):
-            return parse_partition(arg[0][4:])
-        text, _ = _atom(arg, pos)
-        return parse_partition(text)
+    def partition(arg):
+        if isinstance(arg, tuple) and arg[0] == "str":
+            return parse_partition(arg[1])
+        return parse_partition(atom(arg)[0])
 
-    def want_spec(arg):
+    def family(arg):
         if isinstance(arg, tuple):
-            raise ParseError("expected a sub-expression", arg[1])
+            raise ParseError("expected a sub-expression", arg[2])
         return arg
 
-    if head == "proj":
-        if not args:
-            raise ParseError("(proj n \"parts\" ...) needs a degree", pos)
-        n = want_int(args[0])
-        mults = {}
-        for arg in args[1:]:
-            lam = want_partition(arg)
-            mults[lam] = mults.get(lam, 0) + 1
+    def usage(ok, message):
+        if not ok:
+            raise ParseError(message, pos)
+
+    def valid(make, *values):
         try:
-            base = IrrDecomposition(n, mults)
+            return make(*values)
         except ValueError as exc:
             raise ParseError(str(exc), pos) from None
-        return Projective(base)
+
+    if head in _TRUNCATIONS:
+        cls, name, what = _TRUNCATIONS[head]
+        usage(len(args) == 2, f"({head} {name} expr) takes {what} and a family")
+        child = family(args[1])
+        return cls(child, integer(args[0]))
+    if head == "tensor":
+        usage(len(args) == 2, "(tensor a b) takes exactly two factors")
+        return Tensor(family(args[0]), family(args[1]))
+    if head == "sum":
+        return DirectSum(tuple(map(family, args)))
     if head == "vfam":
-        if not args:
-            raise ParseError("(vfam parts [padded]) needs a partition", pos)
-        lam = want_partition(args[0])
+        usage(args, "(vfam parts [padded]) needs a partition")
+        lam = partition(args[0])
         conv = "socle"
         if len(args) > 1:
-            conv, p = _atom(args[1], pos)
+            conv, p = atom(args[1])
             if conv not in ("socle", "padded"):
                 raise ParseError(f"unknown convention {conv!r}", p)
-        if len(args) > 2:
-            raise ParseError("too many arguments to vfam", pos)
+        usage(len(args) <= 2, "too many arguments to vfam")
         return VFamily(lam, conv)
+    if head == "proj":
+        usage(args, '(proj n "parts" ...) needs a degree')
+        n = integer(args[0])
+        lams = Counter(partition(a) for a in args[1:])
+        return Projective(valid(IrrDecomposition, n, lams))
     if head == "cycle":
-        if not args:
-            raise ParseError("(cycle parts...) needs at least one part", pos)
-        parts = sorted((want_int(a) for a in args), reverse=True)
-        try:
-            return CycleModule(Partition(parts))
-        except ValueError as exc:
-            raise ParseError(str(exc), pos) from None
-    if head == "tensor":
-        if len(args) != 2:
-            raise ParseError("(tensor a b) takes exactly two factors", pos)
-        return Tensor(want_spec(args[0]), want_spec(args[1]))
-    if head == "sum":
-        return DirectSum(tuple(want_spec(a) for a in args))
-    if head == "trunc>=":
-        if len(args) != 2:
-            raise ParseError("(trunc>= n expr) takes a cutoff and a family", pos)
-        return Truncate(want_spec(args[1]), want_int(args[0]))
-    if head == "wtrunc<=":
-        if len(args) != 2:
-            raise ParseError("(wtrunc<= p expr) takes a bound and a family", pos)
-        return WeightTruncateLE(want_spec(args[1]), want_int(args[0]))
-    if head == "wtrunc>":
-        if len(args) != 2:
-            raise ParseError("(wtrunc> p expr) takes a bound and a family", pos)
-        return WeightTruncateGT(want_spec(args[1]), want_int(args[0]))
+        usage(args, "(cycle parts...) needs at least one part")
+        return CycleModule(valid(Partition, sorted(map(integer, args), reverse=True)))
     raise ParseError(f"unknown constructor {head!r}", pos)

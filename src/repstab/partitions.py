@@ -7,12 +7,14 @@ Both are immutable and hashable.
 
 A class of S_m is a partition of m (Macdonald I.1, I.7).  Inside the
 library it is keyed by its descending cycle tuple, e.g. (2, 1, 1), held
-with its position and size in classes(m).  CycleType is what the public
-API, the parsers and the JSON take and return; cycle_types_of builds it.
+with its position in classes(m).  The class sizes of a degree are computed
+on the first read of classes(m).sizes; only decompose and inner_product
+read them.  CycleType is what the public API, the parsers and the JSON
+take and return; cycle_types_of builds it.
 """
 
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from .errors import ParseError
@@ -35,10 +37,6 @@ class Partition:
     @property
     def size(self):
         return sum(self.parts)
-
-    @property
-    def length(self):
-        return len(self.parts)
 
     def __len__(self):
         return len(self.parts)
@@ -278,25 +276,26 @@ class Classes:
 
     cycles: each class's descending cycle tuple, aligned with partitions_of(m);
     index: cycle tuple -> its position in cycles;
-    sizes: the class sizes, aligned with cycles.
+    sizes: the class sizes, aligned with cycles, computed on first read.
 
     The order is reverse-lexicographic, so the classes whose largest cycle
     is at most k form a suffix of cycles; start(k) is where it begins.
     """
 
-    __slots__ = ("m", "cycles", "index", "sizes", "_starts")
-
     def __init__(self, m):
         self.m = m
         self.cycles = tuple(_descending_tuples(m))
         self.index = {c: j for j, c in enumerate(self.cycles)}
-        self.sizes = tuple(map(_class_size, self.cycles))
         # _starts[k] for 0 <= k < m: the first class whose largest cycle
         # is k, found in one backward pass (every k in 1..m occurs)
         starts = [len(self.cycles)] * m
         for j in range(len(self.cycles) - 1, 0, -1):
             starts[self.cycles[j][0]] = j
         self._starts = tuple(starts)
+
+    @cached_property
+    def sizes(self):
+        return tuple(map(_class_size, self.cycles))
 
     def start(self, k):
         """Index of the first class whose largest cycle is at most k (k >= 0)."""

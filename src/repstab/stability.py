@@ -26,7 +26,6 @@ from .fbmodules import (
     VFamily,
     check_budget,
     format_spec,
-    module_weight,
     terms_at,
     character_at,
 )
@@ -81,12 +80,9 @@ def rank_rs_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     Constancy is only checked up to m_max.
     """
     check_budget(m_max, budget)
-    maps = [
-        terms_at(spec, m, budget).socle_multiplicities() for m in range(m_max + 1)
-    ]
-    stable = maps[m_max]
+    stable = terms_at(spec, m_max, budget).socle_multiplicities()
     start = m_max
-    while start > 0 and maps[start - 1] == stable:
+    while start > 0 and terms_at(spec, start - 1, budget).socle_multiplicities() == stable:
         start -= 1
     admissible = max(
         (s.size + (s.parts[0] if s else 0) for s in stable), default=0
@@ -250,7 +246,7 @@ def verify_equivalence(spec, m_max, budget=DEFAULT_BUDGET):
         if frobenius_poly_of_module(dec) != poly:
             poly_ok = False
         expected_w = 0 if poly.is_zero() else poly.weighted_degree()
-        if module_weight(dec) != expected_w:
+        if dec.module_weight() != expected_w:
             weight_ok = False
     report.bound_checks.append(("poly_equals_module_polynomial", poly_ok))
     report.bound_checks.append(("module_weight_equals_poly_weight", weight_ok))

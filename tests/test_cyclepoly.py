@@ -189,6 +189,19 @@ def test_parse_errors_carry_position():
         assert info.value.pos == pos, text
 
 
+def test_parse_poly_reads_decimal_digits_only():
+    # '²' passes str.isdigit but not int(): it is read as a stray character
+    for text, message, pos in [
+        ("X²", "expected integer, found '²'", 1),
+        ("²", "expected variable, found '²'", 0),
+        ("X1 + 3²", "expected '+' or '-', found '²'", 6),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert str(info.value) == f"{message} (at position {pos})", text
+    assert parse_poly("X٣") == X(3)  # an Arabic-Indic 3 is a decimal digit
+
+
 def test_print_parse_roundtrip_random():
     rng = random.Random(2024)
     for _ in range(300):

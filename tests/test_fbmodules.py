@@ -20,7 +20,6 @@ from repstab.fbmodules import (
     dimension_at,
     express_X_in_E,
     format_spec,
-    module_weight,
     parse_spec,
     terms_at,
     weight_truncate,
@@ -148,7 +147,7 @@ def test_terms_at_tensor():
     assert d == IrrDecomposition(
         5, {P(5): 1, P(4, 1): 1, P(3, 2): 1, P(3, 1, 1): 1}
     )
-    assert module_weight(d) == 2
+    assert d.module_weight() == 2
 
 
 def test_truncations():
@@ -158,19 +157,19 @@ def test_truncations():
     gt = terms_at(WeightTruncateGT(spec, 0), 4)
     le = terms_at(WeightTruncateLE(spec, 0), 4)
     assert gt + le == terms_at(spec, 4)
-    assert module_weight(le) == 0
+    assert le.module_weight() == 0
     assert all(lam.weight() > 0 for lam, _ in gt.items())
 
 
 def test_weight_truncate():
     d = IrrDecomposition(8, {P(4, 2, 2): 1, P(3, 3, 2): 1})
-    assert module_weight(d) == 5
+    assert d.module_weight() == 5
     gt, le = weight_truncate(d, 4)
     assert le == IrrDecomposition(8, {P(4, 2, 2): 1})
     assert gt == IrrDecomposition(8, {P(3, 3, 2): 1})
     gt2, le2 = weight_truncate(d, 99)
     assert gt2.is_zero() and le2 == d
-    assert module_weight(IrrDecomposition(5)) == 0
+    assert IrrDecomposition(5).module_weight() == 0
 
 
 def test_weight_truncate_recovers_vfamily():
@@ -186,16 +185,16 @@ def test_weight_truncate_recovers_vfamily():
 def test_cycle_module_weight_bound():
     for nu in [P(1), P(2), P(1, 1), P(2, 1), P(3)]:
         for m in range(1, 7):
-            w = module_weight(terms_at(CycleModule(nu), m))
+            w = terms_at(CycleModule(nu), m).module_weight()
             assert w <= min(m, nu.size)
 
 
 def test_vfamily_weight():
     lam = P(2, 2)
     for m in range(lam.size, 9):
-        assert module_weight(terms_at(VFamily(lam), m)) == lam.weight()
+        assert terms_at(VFamily(lam), m).module_weight() == lam.weight()
     for m in range(lam.size):
-        assert module_weight(terms_at(VFamily(lam), m)) == 0
+        assert terms_at(VFamily(lam), m).module_weight() == 0
 
 
 def test_consistency_terms_vs_character():

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repstab.characters import IrrDecomposition, inner_product, irr_character
 from repstab.cyclepoly import CharPolynomial, X, eval_rho_all
@@ -12,8 +14,12 @@ from repstab.fbmodules import (
     Tensor,
     Truncate,
     VFamily,
+    WeightTruncateGT,
+    WeightTruncateLE,
+    character_at,
     cycle_poly,
     cycle_poly_product,
+    format_spec,
     parse_spec,
     terms_at,
 )
@@ -233,17 +239,23 @@ def test_negative_m_max_rejected(estimator):
         estimator(CycleModule(P(1)), -1)
 
 
-def test_cold_pieri_scan_builds_no_cycle_type(monkeypatch):
-    # inside the library a class is its cycle tuple; CycleType objects are
-    # built only at the API edge, which a rank scan never reaches
+def _cold_pieri_scan():
     from repstab import characters, fbmodules, frobenius
-    from repstab.partitions import CycleType
 
     characters.clear_caches()
     frobenius.frobenius_poly_stable.cache_clear()
     frobenius._binomial_basis.cache_clear()
     fbmodules._terms.cache_clear()
     fbmodules._character.cache_clear()
+    report = verify_equivalence(parse_spec('(proj 3 "2,1")'), 12)
+    assert report.all_bounds_hold()
+
+
+def test_cold_pieri_scan_builds_no_cycle_type(monkeypatch):
+    # inside the library a class is its cycle tuple; CycleType objects are
+    # built only at the API edge, which a rank scan never reaches
+    from repstab.partitions import CycleType
+
     built = []
     init = CycleType.__init__
 
@@ -252,9 +264,25 @@ def test_cold_pieri_scan_builds_no_cycle_type(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(CycleType, "__init__", counting_init)
-    report = verify_equivalence(parse_spec('(proj 3 "2,1")'), 12)
-    assert report.all_bounds_hold()
+    _cold_pieri_scan()
     assert built == []
+
+
+def test_cold_pieri_scan_computes_no_class_size(monkeypatch):
+    # class sizes are computed on first read, and only decompose and
+    # inner_product read them; a Pieri scan calls neither
+    from repstab import partitions
+
+    sized = []
+    size = partitions._class_size
+
+    def counting_size(cycles):
+        sized.append(cycles)
+        return size(cycles)
+
+    monkeypatch.setattr(partitions, "_class_size", counting_size)
+    _cold_pieri_scan()
+    assert sized == []
 
 
 def test_report_json_shape():
@@ -322,8 +350,6 @@ def test_tensor_weight_additivity_small():
 def test_fb_level_tensor_weight_additivity():
     # product families built from polynomially-stable factors: weights add
     # once the degree doubles the weight sum
-    from repstab.fbmodules import module_weight
-
     cases = [
         (Tensor(CycleModule(P(1)), CycleModule(P(1))), 2),
         (Tensor(CycleModule(P(2)), CycleModule(P(1))), 3),
@@ -331,4 +357,44 @@ def test_fb_level_tensor_weight_additivity():
     ]
     for spec, total in cases:
         for m in range(2 * total, 11):
-            assert module_weight(terms_at(spec, m)) == total, (spec, m)
+            assert terms_at(spec, m).module_weight() == total, (spec, m)
+
+
+# -- random families over the whole spec grammar -------------------------------
+
+_small_partitions = st.lists(st.integers(1, 3), max_size=3).map(
+    lambda parts: Partition(sorted(parts, reverse=True))
+)
+_leaf_families = st.one_of(
+    st.integers(0, 4).flatmap(
+        lambda n: st.lists(st.sampled_from(partitions_of(n)), max_size=3).map(
+            lambda lams: Projective(IrrDecomposition(n, Counter(lams)))
+        )
+    ),
+    st.builds(VFamily, _small_partitions, st.sampled_from(["socle", "padded"])),
+    _small_partitions.filter(bool).map(CycleModule),
+)
+families = st.recursive(
+    _leaf_families,
+    lambda kids: st.one_of(
+        st.builds(Tensor, kids, kids),
+        st.lists(kids, max_size=3).map(lambda children: DirectSum(tuple(children))),
+        st.builds(Truncate, kids, st.integers(0, 9)),
+        st.builds(WeightTruncateLE, kids, st.integers(0, 4)),
+        st.builds(WeightTruncateGT, kids, st.integers(0, 4)),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(families)
+def test_random_family_round_trips_and_certifies(spec):
+    # the text form reads back, the two routes to a character agree, and
+    # every bound relating the two ranks holds once both ranks are found
+    assert parse_spec(format_spec(spec)) == spec
+    for m in range(9):
+        assert terms_at(spec, m).character() == character_at(spec, m), m
+    report = verify_equivalence(spec, 10, budget=10)
+    if report.rank_rs is not None and report.rank_pc is not None:
+        assert report.bound_checks and report.all_bounds_hold(), report.bound_checks
