@@ -325,7 +325,7 @@ def parse_poly(text):
 
 def _take(toks, sym):
     """Pop and return the next token if it is the symbol sym, else None."""
-    if toks[-1][:2] == ("sym", sym):
+    if toks[-1][1] == sym:
         return toks.pop()
     return None
 

@@ -257,6 +257,7 @@ SPEC_ERRORS = [
     ("(vfam 1 padded x)", "too many arguments to vfam", 0),
     ("(vfam 1 (vfam 1))", "expected a plain atom", 0),
     ('(vfam "2,x")', "bad partition part 'x'", 2),
+    ('(vfam "")', "empty partition is spelled '-'", 0),
     ("(proj)", '(proj n "parts" ...) needs a degree', 0),
     ('(proj 3 "2,2")', "Partition([2, 2]) is not a partition of 3", 0),
     ("(proj x)", "expected an integer, got 'x'", 6),
