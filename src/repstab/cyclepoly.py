@@ -302,7 +302,7 @@ _POLY_TOKEN = re.compile(r"(?P<int>\d+)|(?P<sym>\S)")
 
 
 def parse_poly(text):
-    """Parse the grammar of format_poly; whitespace is insignificant.
+    """Parse the grammar of format_poly.
 
     poly   := ['-'] term (('+'|'-') term)*
     term   := coef ['*' mono] | mono
@@ -310,7 +310,9 @@ def parse_poly(text):
     mono   := factor ('*' factor)*
     factor := 'X' INT ['^' INT]
 
-    Raises ParseError at the offending token.
+    INT is a run of decimal digits.  Whitespace may separate any two
+    tokens, so "X 1" reads as X1, and is otherwise ignored.  Raises
+    ParseError at the offending token.
     """
     toks = [(m.lastgroup, m[0], m.start()) for m in _POLY_TOKEN.finditer(text)]
     toks.append(("end", "", len(text)))
