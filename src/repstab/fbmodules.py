@@ -381,7 +381,7 @@ def _build(head, args, pos):
     if head in _TRUNCATIONS:
         cls, name, what = _TRUNCATIONS[head]
         usage(len(args) == 2, f"({head} {name} expr) takes {what} and a family")
-        child = family(args[1])
+        child = family(args[1])  # checked before the integer
         return cls(child, integer(args[0]))
     if head == "tensor":
         usage(len(args) == 2, "(tensor a b) takes exactly two factors")
