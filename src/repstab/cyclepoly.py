@@ -42,6 +42,19 @@ class CharPolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def from_ints(cls, num, den=1):
+        """The polynomial with coefficient num[mono] / den at each monomial
+        mono, for den > 0; zero entries are dropped.
+
+        The keys must already be canonical (sorted (variable, exponent)
+        pairs, no zero exponents): unlike __init__, nothing is re-sorted
+        or checked.
+        """
+        p = cls.__new__(cls)
+        p.terms = {mono: Fraction(v, den) for mono, v in num.items() if v}
+        return p
+
+    @classmethod
     def variable(cls, i):
         if i < 1:
             raise ValueError("variables start at X1")
@@ -282,18 +295,19 @@ def format_poly(poly):
     pieces = []
     for mono in sorted(poly.terms, key=_mono_sort_key):
         coef = poly.terms[mono]
+        num, den = coef.numerator, coef.denominator
         body = "*".join(f"X{v}" + (f"^{e}" if e > 1 else "") for v, e in mono)
-        mag = abs(coef)
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not body:
-            text = str(mag)
-        elif mag == 1:
+            text = mag
+        elif mag == "1":
             text = body
         else:
             text = f"{mag}*{body}"
         if not pieces:
-            pieces.append(text if coef > 0 else f"-{text}")
+            pieces.append(text if num > 0 else f"-{text}")
         else:
-            pieces.append(f"+ {text}" if coef > 0 else f"- {text}")
+            pieces.append(f"+ {text}" if num > 0 else f"- {text}")
     return " ".join(pieces)
 
 

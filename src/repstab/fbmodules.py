@@ -223,6 +223,7 @@ def _divisor_terms(ell):
             yield d, e, Fraction(_totient(d) * d**e, ell)
 
 
+@lru_cache(maxsize=1024)
 def cycle_poly_product(nu):
     """Product of cycle_poly over the parts of nu: the character polynomial
     of the corresponding tensor product of cycle modules."""
@@ -315,7 +316,7 @@ def parse_spec(text):
             raise ParseError("unterminated string", m.start())
         toks.append((m.lastgroup, m[m.lastgroup], m.start()))
     if not toks:
-        raise ParseError("unexpected end of input", 0)
+        raise ParseError("unexpected end of input", len(text))
     toks.reverse()  # the next token is toks[-1]
     spec = _node(toks)
     if toks:
@@ -354,7 +355,7 @@ def _build(head, args, pos):
 
     def integer(arg):
         text, p = atom(arg)
-        if not (text.isdigit() or (text[:1] == "-" and text[1:].isdigit())):
+        if not (text.isdecimal() or (text[:1] == "-" and text[1:].isdecimal())):
             raise ParseError(f"expected an integer, got {text!r}", p)
         return int(text)
 

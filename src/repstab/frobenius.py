@@ -22,9 +22,10 @@ admissible degree n.
 
 from functools import lru_cache
 from itertools import product
+from math import factorial, lcm
 
 from .characters import irr_row
-from .cyclepoly import CharPolynomial, X, binomial_poly
+from .cyclepoly import CharPolynomial
 from .partitions import Partition, classes
 
 
@@ -51,11 +52,33 @@ def frobenius_poly_stable(soc):
 @lru_cache(maxsize=1024)
 def _binomial_basis(rho):
     """B_rho = prod_i C(X_i, m_i(rho)) for the descending cycle tuple rho:
-    the number of rho-typed stable subsets."""
-    out = CharPolynomial.one()
-    for i in set(rho):
-        out = out * binomial_poly(X(i), rho.count(i))
-    return out
+    the number of rho-typed stable subsets.
+
+    Each factor is the falling factorial of X_i over m_i!, and the factors
+    share no variable, so B_rho is built in integers over prod_i m_i!.
+    """
+    num = {(): 1}
+    den = 1
+    for i in sorted(set(rho)):
+        k = rho.count(i)
+        den *= factorial(k)
+        num = {
+            mono + ((i, j),): c * s
+            for mono, c in num.items()
+            for j, s in enumerate(_falling_coefficients(k))
+            if s
+        }
+    return CharPolynomial.from_ints(num, den)
+
+
+@lru_cache(maxsize=64)
+def _falling_coefficients(n):
+    """(s(n, 0), ..., s(n, n)), the signed Stirling numbers of the first
+    kind: x (x-1) ... (x-n+1) = sum_k s(n, k) x^k."""
+    coeffs = (1,)
+    for t in range(n):  # multiply by (x - t)
+        coeffs = tuple(a - t * b for a, b in zip((0,) + coeffs, coeffs + (0,)))
+    return coeffs
 
 
 def frobenius_poly_of_module(dec):
@@ -64,10 +87,15 @@ def frobenius_poly_of_module(dec):
 
 
 def _combine(pairs):
-    """The sum of c * poly over the (c, poly) pairs, built as one coefficient
-    dict and one CharPolynomial."""
-    terms = {}
+    """The sum of c * poly over the (c, poly) pairs, c an integer.
+
+    The sum runs in integers over D, the lcm of every coefficient
+    denominator, and each output coefficient becomes a Fraction once.
+    """
+    pairs = list(pairs)
+    den = lcm(*(b.denominator for _, poly in pairs for b in poly.terms.values()))
+    num = {}
     for c, poly in pairs:
         for mono, b in poly.terms.items():
-            terms[mono] = terms.get(mono, 0) + c * b
-    return CharPolynomial(terms)
+            num[mono] = num.get(mono, 0) + c * b.numerator * (den // b.denominator)
+    return CharPolynomial.from_ints(num, den)

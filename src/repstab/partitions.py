@@ -111,7 +111,7 @@ def parse_partition(text):
         raise ParseError("empty partition is spelled '-'", 0)
     parts = []
     for pos, chunk in _split_with_positions(text, ","):
-        if not chunk.strip().isdigit():
+        if not chunk.strip().isdecimal():
             raise ParseError(f"bad partition part {chunk.strip()!r}", pos)
         parts.append(int(chunk))
     try:
@@ -212,7 +212,7 @@ def parse_cycle_type(text):
             base, _, exp = tok.partition("^")
         else:
             base, exp = tok, "1"
-        if not base.isdigit() or not exp.isdigit():
+        if not base.isdecimal() or not exp.isdecimal():
             raise ParseError(f"bad cycle-type factor {tok!r}", pos)
         i, n = int(base), int(exp)
         if i < 1:

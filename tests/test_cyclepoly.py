@@ -222,3 +222,16 @@ def test_print_parse_roundtrip_random():
 def test_print_parse_roundtrip_property(terms):
     p = CharPolynomial(terms)
     assert parse_poly(format_poly(p)) == p
+
+
+monomials = st.dictionaries(st.integers(1, 5), st.integers(1, 3), max_size=3).map(
+    lambda d: tuple(sorted(d.items()))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(monomials, st.integers(-6, 6), max_size=5), st.integers(1, 12))
+def test_from_ints_matches_fraction_constructor(num, den):
+    p = CharPolynomial.from_ints(num, den)
+    assert p == CharPolynomial({mono: Fraction(v, den) for mono, v in num.items()})
+    assert set(p.terms) == {mono for mono, v in num.items() if v}

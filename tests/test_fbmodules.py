@@ -240,7 +240,7 @@ def test_spec_language_examples():
 # checked, and a truncation reads its family before its integer.
 SPEC_ERRORS = [
     ("", "unexpected end of input", 0),
-    ("   ", "unexpected end of input", 0),
+    ("   ", "unexpected end of input", 3),
     ('(proj 3 "2,1', "unterminated string", 8),
     ('(frob "x', "unterminated string", 6),
     ("(", "expected a constructor name", 0),
@@ -258,6 +258,8 @@ SPEC_ERRORS = [
     ("(vfam 1 (vfam 1))", "expected a plain atom", 0),
     ('(vfam "2,x")', "bad partition part 'x'", 2),
     ('(vfam "")', "empty partition is spelled '-'", 0),
+    ("(vfam ²)", "bad partition part '²'", 0),
+    ('(vfam "2,²")', "bad partition part '²'", 2),
     ("(proj)", '(proj n "parts" ...) needs a degree', 0),
     ('(proj 3 "2,2")', "Partition([2, 2]) is not a partition of 3", 0),
     ("(proj x)", "expected an integer, got 'x'", 6),
@@ -265,6 +267,8 @@ SPEC_ERRORS = [
     ("(cycle)", "(cycle parts...) needs at least one part", 0),
     ("(cycle 0)", "partition parts must be positive, got 0", 0),
     ("(cycle 2 y)", "expected an integer, got 'y'", 9),
+    ("(cycle ²)", "expected an integer, got '²'", 7),
+    ("(proj -²)", "expected an integer, got '-²'", 6),
     ("(tensor (vfam 1))", "(tensor a b) takes exactly two factors", 0),
     ("(tensor (vfam 1) 2)", "expected a sub-expression", 17),
     ("(sum 1)", "expected a sub-expression", 5),

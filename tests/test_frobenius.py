@@ -1,6 +1,15 @@
+from hypothesis import given, settings, strategies as st
+
 from repstab import fbmodules, frobenius
 from repstab.characters import IrrDecomposition, irr_char
-from repstab.cyclepoly import CharPolynomial, X, eval_rho, eval_rho_all
+from repstab.cyclepoly import (
+    CharPolynomial,
+    X,
+    binomial_poly,
+    eval_rho,
+    eval_rho_all,
+    falling_factorial,
+)
 from repstab.frobenius import (
     frobenius_poly,
     frobenius_poly_of_module,
@@ -94,10 +103,29 @@ def test_caches_are_bounded():
     for cached in (
         frobenius.frobenius_poly_stable,
         frobenius._binomial_basis,
+        frobenius._falling_coefficients,
         fbmodules._terms,
         fbmodules._character,
+        fbmodules.cycle_poly_product,
     ):
         assert cached.cache_info().maxsize is not None, cached
+
+
+def test_binomial_basis_against_ring_arithmetic():
+    # built in integers over prod m_i!; checked against generic products
+    for n in range(11):
+        for rho in classes(n).cycles:
+            expected = CharPolynomial.one()
+            for i in set(rho):
+                expected = expected * binomial_poly(X(i), rho.count(i))
+            assert frobenius._binomial_basis(rho) == expected, rho
+
+
+def test_falling_coefficients_against_ring_arithmetic():
+    for n in range(13):
+        terms = falling_factorial(X(1), n).terms
+        expected = tuple(terms.get(((1, k),) if k else (), 0) for k in range(n + 1))
+        assert frobenius._falling_coefficients(n) == expected, n
 
 
 def test_module_polynomial_examples():
@@ -119,3 +147,22 @@ def test_module_polynomial_evaluates_to_module_character():
     poly = frobenius_poly_of_module(dec)
     assert eval_rho_all(poly, 5) == dec.character()
     assert poly.weighted_degree() == dec.module_weight()
+
+
+decompositions = st.integers(0, 7).flatmap(
+    lambda m: st.builds(
+        IrrDecomposition,
+        st.just(m),
+        st.dictionaries(st.sampled_from(partitions_of(m)), st.integers(1, 5), max_size=4),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(decompositions)
+def test_module_polynomial_is_the_weighted_sum(dec):
+    # summed in integers over one denominator; checked against ring sums
+    expected = CharPolynomial.zero()
+    for lam, n in dec.items():
+        expected = expected + n * frobenius_poly(lam)
+    assert frobenius_poly_of_module(dec) == expected

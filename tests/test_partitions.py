@@ -151,22 +151,37 @@ def test_cycle_type_extend():
 def test_partition_text_roundtrip():
     assert parse_partition("3,2,2") == Partition([3, 2, 2])
     assert parse_partition("-") == Partition()
+    assert parse_partition("2,١") == Partition([2, 1])  # an Arabic-Indic 1
     assert format_partition(Partition([4, 1])) == "4,1"
     assert format_partition(Partition()) == "-"
-    with pytest.raises(ParseError):
-        parse_partition("3,,2")
-    with pytest.raises(ParseError):
-        parse_partition("2,3")
 
 
 def test_cycle_type_text_roundtrip():
     assert parse_cycle_type("1^2 2^1") == CycleType({1: 2, 2: 1})
     assert parse_cycle_type("-") == CycleType({})
     assert format_cycle_type(CycleType({1: 2, 2: 1})) == "1^2 2^1"
-    with pytest.raises(ParseError):
-        parse_cycle_type("0^2")
-    with pytest.raises(ParseError):
-        parse_cycle_type("2^1 2^1")
+
+
+# (parser, text, message, pos) for malformed partitions and cycle types;
+# '²' passes str.isdigit but not int(), so it must be refused as a digit
+TEXT_ERRORS = [
+    (parse_partition, "", "empty partition is spelled '-'", 0),
+    (parse_partition, "3,,2", "bad partition part ''", 2),
+    (parse_partition, "2,3", "partition parts must be weakly decreasing: (2, 3)", 0),
+    (parse_partition, "2,²", "bad partition part '²'", 2),
+    (parse_cycle_type, "0^2", "cycle lengths start at 1, got 0", 0),
+    (parse_cycle_type, "2^1 2^1", "duplicate cycle length 2", 4),
+    (parse_cycle_type, "1^²", "bad cycle-type factor '1^²'", 0),
+    (parse_cycle_type, "2 ²^1", "bad cycle-type factor '²^1'", 2),
+]
+
+
+def test_partition_and_cycle_type_errors():
+    for parse, text, message, pos in TEXT_ERRORS:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at position {pos})", text
+        assert info.value.pos == pos, text
 
 
 @given(partitions_st)
