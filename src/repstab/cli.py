@@ -2,8 +2,8 @@
 
 Subcommands: chartable, frobpoly, pieri, decompose, cyclepoly, rho,
 rankscan, tensorweight.  Every command takes --json for a versioned JSON
-document instead of the text table and --budget to override the
-enumeration cap.  Exit codes:
+document instead of the text table and --budget to override the cap on
+the degree.  Exit codes:
 0 success, 1 usage or parse error, 2 budget exceeded, 3 a theorem bound
 check failed.
 """
@@ -50,7 +50,11 @@ def _build_parser():
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help=f"enumeration cap on the degree (default {DEFAULT_BUDGET})",
+        help=(
+            f"cap on the degree (default {DEFAULT_BUDGET}): on m for the commands that "
+            "run over the p(m) classes of degree m, on --mmax for rankscan, on the "
+            "socle size for frobpoly"
+        ),
     )
 
     parser = _Parser(prog="repstab", description=__doc__)

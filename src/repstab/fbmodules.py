@@ -5,8 +5,17 @@ A family is described by a finite tree of constructors: induced
 modules on cycles, tensor products, direct sums, degree truncation, and
 weight truncation.  Evaluating a family at a degree m yields its
 decomposition into irreducibles (terms_at) or its character
-(character_at).  Every evaluation runs over the p(m) conjugacy classes
-of S_m, so it is guarded by an explicit degree budget.
+(character_at).
+
+terms_at touches no conjugacy class of degree m.  Induced and
+single-irreducible families follow Pieri's rule and the socle directly;
+a cycle module, or a tensor product, takes a polynomial that evaluates
+to its character at m and reads the decomposition off that polynomial
+with frobenius.decompose_poly, which needs classes of degree at most the
+polynomial's weight.  character_at runs over the p(m) classes of S_m:
+cycle modules evaluate their polynomial on every class and tensor
+products multiply characters pointwise, so it stays an independent
+second route.  Both are guarded by an explicit degree budget.
 """
 
 import re
@@ -16,9 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .characters import ClassFunction, IrrDecomposition, decompose
+from .characters import ClassFunction, IrrDecomposition
 from .cyclepoly import CharPolynomial, X, eval_rho_all, falling_factorial
 from .errors import BudgetError, ParseError
+from .frobenius import decompose_poly, frobenius_poly_of_module
 from .partitions import Partition, format_partition, parse_partition
 from .pieri import projective_terms
 
@@ -157,10 +167,10 @@ def _terms(spec, m):
             if m < lam.size + first:
                 return IrrDecomposition(m)
             return IrrDecomposition(m, {lam.pad(m): 1})
-        case CycleModule():
-            return decompose(_character(spec, m))
-        case Tensor():
-            return decompose(_character(spec, m))
+        case CycleModule(nu=nu):
+            return _decomposition(cycle_poly_product(nu), m)
+        case Tensor(left=left, right=right):
+            return _decomposition(_factor_poly(left, m) * _factor_poly(right, m), m)
         case DirectSum(children=children):
             total = IrrDecomposition(m)
             for child in children:
@@ -175,6 +185,23 @@ def _terms(spec, m):
         case WeightTruncateGT(child=child, p=p):
             return weight_truncate(_terms(child, m), p)[0]
     raise TypeError(f"not a family constructor: {spec!r}")
+
+
+def _factor_poly(spec, m):
+    """A polynomial that evaluates to the family's character at degree m.
+
+    The module polynomial of the terms at m does so because every
+    partition of m is admissible for its socle.
+    """
+    if isinstance(spec, CycleModule):
+        return cycle_poly_product(spec.nu)
+    return frobenius_poly_of_module(_terms(spec, m))
+
+
+def _decomposition(poly, m):
+    """The decomposition at degree m of a polynomial that evaluates to a
+    character there."""
+    return IrrDecomposition(m, {s.pad(m): n for s, n in decompose_poly(poly, m).items()})
 
 
 @lru_cache(maxsize=1024)
@@ -361,8 +388,15 @@ def _build(head, args, pos):
 
     def partition(arg):
         if isinstance(arg, tuple) and arg[0] == "str":
-            return parse_partition(arg[1])
-        return parse_partition(atom(arg)[0])
+            text, p = arg[1], arg[2] + 1  # past the opening quote
+        else:
+            text, p = atom(arg)
+        try:
+            return parse_partition(text)
+        except ParseError as exc:
+            # parse_partition counts from the first non-blank character
+            p += len(text) - len(text.lstrip())
+            raise ParseError(exc.message, p + exc.pos) from None
 
     def family(arg):
         if isinstance(arg, tuple):

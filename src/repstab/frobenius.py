@@ -18,15 +18,33 @@ socle s is sum_rho c_rho B_rho, where each c_rho is an integer sum of
 Murnaghan-Nakayama values and B_rho = prod_i C(X_i, m_i(rho)).  It
 depends only on s, has weight |s|, and evaluates to chi_{s[n]} at every
 admissible degree n.
+
+The way back, from a polynomial P to its multiplicities, runs through
+the same basis.  B_rho taken at degree m is the character induced from
+the indicator of the class rho of S_|rho| times the trivial character of
+S_(m - |rho|), so its Frobenius characteristic is (p_rho / z_rho)
+h_(m - |rho|) (Macdonald I.7).  Write P = sum_rho c_rho B_rho and expand
+p_rho in Schur functions:
+
+    ch(P at m) = sum over mu of f_mu s_mu h_(m - |mu|),
+    f_mu       = sum over rho |- |mu| of c_rho chi_mu(rho) / z_rho.
+
+The f_mu do not depend on m.  By Pieri's rule s_mu h_(m - |mu|) holds
+s[m] once when s[m]/mu is a horizontal strip, that is when
+m - |s| >= mu_1 >= s_1 >= mu_2 >= s_2 >= ...: mu/s is a horizontal strip
+and m >= |s| + mu_1.  So the multiplicity of s[m] in P at m is a step
+function of m, read off the f_mu of degree <= weight(P) without any
+class of degree m (decompose_poly).
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
 
 from .characters import irr_row
 from .cyclepoly import CharPolynomial
-from .partitions import Partition, classes
+from .partitions import Partition, centralizer_order, classes, partitions_of
 
 
 def frobenius_poly(lam):
@@ -99,3 +117,99 @@ def _combine(pairs):
         for mono, b in poly.terms.items():
             num[mono] = num.get(mono, 0) + c * b.numerator * (den // b.denominator)
     return CharPolynomial.from_ints(num, den)
+
+
+def binomial_coefficients(poly):
+    """poly in the basis B_rho: (num, den) with poly = sum_rho num[rho] / den
+    B_rho over descending cycle tuples rho, den > 0, zero entries dropped.
+
+    Each power is X_i^e = sum_j S(e, j) j! C(X_i, j), with S the Stirling
+    numbers of the second kind, and the powers of a monomial share no
+    variable, so the monomial goes to the B_rho with m_i(rho) <= e_i.
+    """
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    num = {}
+    for mono, coef in poly.terms.items():
+        terms = {(): coef.numerator * (den // coef.denominator)}
+        for i, e in reversed(mono):  # descending variables give descending tuples
+            terms = {
+                rho + (i,) * j: c * s
+                for rho, c in terms.items()
+                for j, s in enumerate(_power_coefficients(e))
+                if s
+            }
+        for rho, c in terms.items():
+            num[rho] = num.get(rho, 0) + c
+    return {rho: c for rho, c in num.items() if c}, den
+
+
+@lru_cache(maxsize=64)
+def _power_coefficients(e):
+    """(S(e, 0) 0!, ..., S(e, e) e!), with S the Stirling numbers of the
+    second kind: x^e = sum_j S(e, j) j! C(x, j)."""
+    row = (1,)
+    for _ in range(e):  # S(n + 1, j) = j S(n, j) + S(n, j - 1)
+        row = tuple(j * a + b for j, (a, b) in enumerate(zip(row + (0,), (0,) + row)))
+    return tuple(s * factorial(j) for j, s in enumerate(row))
+
+
+def frobenius_coefficients(poly, top=None):
+    """The f_mu of poly: (num, den) with f_mu = num[mu] / den for every
+    partition mu with |mu| <= top (default: all of them, up to the weight
+    of poly), den > 0, zero entries dropped.
+
+    Only kernel rows of degree <= top, and <= weight(poly), are read.
+    """
+    coeffs, den = binomial_coefficients(poly)
+    by_degree = {}
+    for rho, c in coeffs.items():
+        k = sum(rho)
+        if top is None or k <= top:
+            by_degree.setdefault(k, []).append((rho, c))
+    scale = factorial(max(by_degree, default=0))  # every z_rho divides it
+    num = {}
+    for k, pairs in by_degree.items():
+        index = classes(k).index
+        weights = [(index[rho], c * (scale // centralizer_order(rho))) for rho, c in pairs]
+        for mu in partitions_of(k):
+            row = irr_row(mu)
+            f = sum(w * row[j] for j, w in weights)
+            if f:
+                num[mu] = f
+    return num, den * scale
+
+
+def decompose_poly(poly, m):
+    """The virtual decomposition of poly taken at degree m, as {s:
+    multiplicity of s[m]} over socles s, zero entries dropped.
+
+    The multiplicities are Fractions: integers >= 0 when poly takes a
+    character at m, any rationals otherwise.  Only classes of degree at
+    most min(m, weight(poly)) are used.
+    """
+    steps, den = _socle_steps(poly, min(m, poly.weighted_degree()))
+    acc = {}
+    for s, start, f in steps:
+        if start > m:
+            break
+        acc[s] = acc.get(s, 0) + f
+    return {s: Fraction(n, den) for s, n in acc.items() if n}
+
+
+@lru_cache(maxsize=1024)
+def _socle_steps(poly, top):
+    """The entries (s, |s| + mu_1, num[mu]) over the mu with |mu| <= top
+    and the s with mu/s a horizontal strip, sorted by their start
+    |s| + mu_1, and den: the multiplicity of s[m] in poly at m is the sum
+    of num[mu] / den over the entries for s that start at or below m.
+    """
+    num, den = frobenius_coefficients(poly, top)
+    steps = []
+    for mu, f in num.items():
+        first = mu.parts[0] if mu else 0
+        ranges = (range(lo, hi + 1) for lo, hi in zip(mu.parts[1:] + (0,), mu.parts))
+        for parts in product(*ranges):  # mu_1 >= s_1 >= mu_2 >= s_2 >= ...
+            s = Partition(p for p in parts if p)
+            steps.append((s, s.size + first, f))
+    steps.sort(key=lambda entry: entry[1])
+    return tuple(steps), den

@@ -315,8 +315,14 @@ def class_size(t):
 
 def _class_size(cycles):
     """Size of the class with the descending cycle tuple `cycles`."""
-    denom = 1
+    return factorial(sum(cycles)) // centralizer_order(cycles)
+
+
+def centralizer_order(cycles):
+    """z = prod_i i^n_i n_i!, the order of the centralizer of an element
+    with the descending cycle tuple `cycles`, n_i of them equal to i."""
+    z = 1
     for i in set(cycles):
         n = cycles.count(i)
-        denom *= i**n * factorial(n)
-    return factorial(sum(cycles)) // denom
+        z *= i**n * factorial(n)
+    return z

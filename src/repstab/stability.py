@@ -4,8 +4,12 @@ rank_rs_estimate finds the degree past which the socle-indexed
 multiplicities of the family's decompositions stop changing (and the
 occurring socles are admissible for that degree); rank_pc_estimate finds
 the degree past which one fixed polynomial in the cycle-count variables
-evaluates to the family's characters.  Both are certified only on the
-scanned window [0, m_max]: the estimators verify, they do not prove.
+evaluates to the family's characters.  It compares decompositions, not
+values: frobenius.decompose_poly reads the polynomial's decomposition at
+each degree from classes of degree at most its weight, so neither
+estimator touches the conjugacy classes of the degrees it scans.  Both
+are certified only on the scanned window [0, m_max]: the estimators
+verify, they do not prove.
 
 The remaining operations exercise the structural facts relating the two
 ranks: the evaluation map from weight-bounded polynomials to class
@@ -27,9 +31,8 @@ from .fbmodules import (
     check_budget,
     format_spec,
     terms_at,
-    character_at,
 )
-from .frobenius import frobenius_poly_of_module
+from .frobenius import decompose_poly, frobenius_poly_of_module
 from .partitions import cycle_types_of, format_partition, partitions_of
 
 
@@ -99,11 +102,20 @@ def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
 
     Returns (N, P) or None ("not polynomial in the window") when the
     candidate already fails at m_max - 1.
+
+    Two class functions of one degree are equal exactly when their
+    decompositions are, so each degree compares decompose_poly(P, n)
+    with the family's socle multiplicities, and no class above the
+    weight of P is used.
     """
     check_budget(m_max, budget)
     poly = frobenius_poly_of_module(terms_at(spec, m_max, budget))
+
+    def agrees(k):
+        return decompose_poly(poly, k) == terms_at(spec, k, budget).socle_multiplicities()
+
     n = m_max
-    while n > 0 and eval_rho_all(poly, n - 1) == character_at(spec, n - 1, budget):
+    while n > 0 and agrees(n - 1):
         n -= 1
     if n == m_max and m_max > 0:
         # re-derivation check: the polynomial taken one degree down must

@@ -256,10 +256,14 @@ SPEC_ERRORS = [
     ("(vfam 2,1 sideways)", "unknown convention 'sideways'", 10),
     ("(vfam 1 padded x)", "too many arguments to vfam", 0),
     ("(vfam 1 (vfam 1))", "expected a plain atom", 0),
-    ('(vfam "2,x")', "bad partition part 'x'", 2),
-    ('(vfam "")', "empty partition is spelled '-'", 0),
-    ("(vfam ²)", "bad partition part '²'", 0),
-    ('(vfam "2,²")', "bad partition part '²'", 2),
+    ('(vfam "2,x")', "bad partition part 'x'", 9),
+    ('(vfam " 2,x")', "bad partition part 'x'", 10),
+    ("(sum (vfam 1) (vfam 2,x))", "bad partition part 'x'", 22),
+    ('(vfam "")', "empty partition is spelled '-'", 7),
+    ('(vfam "1,2")', "partition parts must be weakly decreasing: (1, 2)", 7),
+    ('(proj 3 "2,1" " 1,2")', "partition parts must be weakly decreasing: (1, 2)", 16),
+    ("(vfam ²)", "bad partition part '²'", 6),
+    ('(vfam "2,²")', "bad partition part '²'", 9),
     ("(proj)", '(proj n "parts" ...) needs a degree', 0),
     ('(proj 3 "2,2")', "Partition([2, 2]) is not a partition of 3", 0),
     ("(proj x)", "expected an integer, got 'x'", 6),

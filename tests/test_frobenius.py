@@ -1,7 +1,10 @@
+from fractions import Fraction
+from itertools import zip_longest
+
 from hypothesis import given, settings, strategies as st
 
 from repstab import fbmodules, frobenius
-from repstab.characters import IrrDecomposition, irr_char
+from repstab.characters import IrrDecomposition, inner_product, irr_char, irr_character
 from repstab.cyclepoly import (
     CharPolynomial,
     X,
@@ -11,6 +14,9 @@ from repstab.cyclepoly import (
     falling_factorial,
 )
 from repstab.frobenius import (
+    binomial_coefficients,
+    decompose_poly,
+    frobenius_coefficients,
     frobenius_poly,
     frobenius_poly_of_module,
     frobenius_poly_stable,
@@ -104,6 +110,8 @@ def test_caches_are_bounded():
         frobenius.frobenius_poly_stable,
         frobenius._binomial_basis,
         frobenius._falling_coefficients,
+        frobenius._power_coefficients,
+        frobenius._socle_steps,
         fbmodules._terms,
         fbmodules._character,
         fbmodules.cycle_poly_product,
@@ -166,3 +174,58 @@ def test_module_polynomial_is_the_weighted_sum(dec):
     for lam, n in dec.items():
         expected = expected + n * frobenius_poly(lam)
     assert frobenius_poly_of_module(dec) == expected
+
+
+# -- from a polynomial back to its multiplicities ------------------------------
+
+polynomials = st.dictionaries(
+    st.dictionaries(st.integers(1, 4), st.integers(1, 3), max_size=2).map(
+        lambda mono: tuple(sorted(mono.items()))
+    ),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    max_size=4,
+).map(CharPolynomial)
+
+
+def _fractions(pair):
+    num, den = pair
+    return {key: Fraction(v, den) for key, v in num.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials)
+def test_binomial_coefficients_round_trip(poly):
+    total = CharPolynomial.zero()
+    for rho, c in _fractions(binomial_coefficients(poly)).items():
+        total = total + c * frobenius._binomial_basis(rho)
+    assert total == poly
+
+
+def test_frobenius_coefficients_of_stable_polynomials():
+    # frobenius_poly_stable(s) = sum of (-1)^{|s/mu|} over the vertical
+    # strips s/mu of the polynomials inducing chi_mu, read backwards
+    for size in range(9):
+        for s in partitions_of(size):
+            expected = {}
+            for k in range(size + 1):
+                for mu in partitions_of(k):
+                    diffs = [a - b for a, b in zip_longest(s, mu, fillvalue=0)]
+                    if len(mu) <= len(s) and all(d in (0, 1) for d in diffs):
+                        expected[mu] = (-1) ** (size - k)
+            got = _fractions(frobenius_coefficients(frobenius_poly_stable(s)))
+            assert got == expected, s
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials)
+def test_decompose_poly_against_inner_products(poly):
+    # rational polynomials are mostly no characters: the multiplicities
+    # may be negative or fractions, and must still be the inner products
+    for m in range(11):
+        f = eval_rho_all(poly, m)
+        expected = {}
+        for lam in partitions_of(m):
+            c = inner_product(irr_character(lam), f)
+            if c:
+                expected[lam.socle()] = c
+        assert decompose_poly(poly, m) == expected, m

@@ -239,15 +239,17 @@ def test_negative_m_max_rejected(estimator):
         estimator(CycleModule(P(1)), -1)
 
 
-def _cold_pieri_scan():
+def _cold_scan(text, m_max):
     from repstab import characters, fbmodules, frobenius
 
     characters.clear_caches()
     frobenius.frobenius_poly_stable.cache_clear()
     frobenius._binomial_basis.cache_clear()
+    frobenius._socle_steps.cache_clear()
     fbmodules._terms.cache_clear()
     fbmodules._character.cache_clear()
-    report = verify_equivalence(parse_spec('(proj 3 "2,1")'), 12)
+    fbmodules.cycle_poly_product.cache_clear()
+    report = verify_equivalence(parse_spec(text), m_max, budget=m_max)
     assert report.all_bounds_hold()
 
 
@@ -264,7 +266,7 @@ def test_cold_pieri_scan_builds_no_cycle_type(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(CycleType, "__init__", counting_init)
-    _cold_pieri_scan()
+    _cold_scan('(proj 3 "2,1")', 12)
     assert built == []
 
 
@@ -281,8 +283,25 @@ def test_cold_pieri_scan_computes_no_class_size(monkeypatch):
         return size(cycles)
 
     monkeypatch.setattr(partitions, "_class_size", counting_size)
-    _cold_pieri_scan()
+    _cold_scan('(proj 3 "2,1")', 12)
     assert sized == []
+
+
+def test_cold_cycle_scan_reads_no_class_above_the_weight(monkeypatch):
+    # (cycle 3 2) has weight 5: its terms and its rank_pc come from the
+    # f_mu with |mu| <= 5, whatever degree the scan reaches
+    from repstab import partitions
+
+    asked = []
+    build = partitions.Classes
+
+    def counting_build(m):
+        asked.append(m)
+        return build(m)
+
+    monkeypatch.setattr(partitions, "Classes", counting_build)
+    _cold_scan("(cycle 3 2)", 24)
+    assert asked and max(asked) <= 5, sorted(set(asked))
 
 
 def test_report_json_shape():
@@ -398,3 +417,10 @@ def test_random_family_round_trips_and_certifies(spec):
     report = verify_equivalence(spec, 10, budget=10)
     if report.rank_rs is not None and report.rank_pc is not None:
         assert report.bound_checks and report.all_bounds_hold(), report.bound_checks
+    if report.rank_pc is not None:
+        # the class route: the polynomial on every class, from rank_pc on
+        n = report.rank_pc
+        for m in range(n, 11):
+            assert eval_rho_all(report.poly, m) == character_at(spec, m), m
+        if n > 0:
+            assert eval_rho_all(report.poly, n - 1) != character_at(spec, n - 1)
