@@ -28,8 +28,10 @@ def kernel_name():
 def clear_caches():
     """Empty the kernel's row cache and the classes cache.
 
-    The polynomial caches of frobenius and the term and character caches of
-    fbmodules are left as they are.
+    Left as they are: the caches of frobenius (stable polynomials, binomial
+    products, Stirling rows, module polynomials, polynomial step lists),
+    the step lists of induced families in pieri, and the term, character
+    and cycle-polynomial caches of fbmodules.
     """
     _mnpure.clear_cache()
     classes.cache_clear()
@@ -224,10 +226,11 @@ def trivial_character(m):
 class IrrDecomposition:
     """Multiset of irreducible factors of a module of degree m.
 
-    Zero multiplicities are never stored; hashable and immutable.
+    Zero multiplicities are never stored; hashable and immutable.  The
+    socle multiplicities are computed on first request and kept.
     """
 
-    __slots__ = ("m", "_items")
+    __slots__ = ("m", "_items", "_socles")
 
     def __init__(self, m, mults=()):
         self.m = m
@@ -243,6 +246,7 @@ class IrrDecomposition:
             if n:
                 acc[lam] = acc.get(lam, 0) + n
         self._items = tuple(sorted(acc.items(), key=lambda kv: kv[0].parts, reverse=True))
+        self._socles = None
 
     def items(self):
         return self._items
@@ -270,8 +274,11 @@ class IrrDecomposition:
         return max((lam.weight() for lam, _ in self._items), default=0)
 
     def socle_multiplicities(self):
-        """Map socle -> multiplicity (socles of distinct factors never collide)."""
-        return {lam.socle(): n for lam, n in self._items}
+        """Map socle -> multiplicity (socles of distinct factors never
+        collide), as a fresh dict on each call."""
+        if self._socles is None:
+            self._socles = {lam.socle(): n for lam, n in self._items}
+        return dict(self._socles)
 
     def character(self):
         acc = [0] * len(classes(self.m).cycles)

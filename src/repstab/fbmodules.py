@@ -7,13 +7,17 @@ weight truncation.  Evaluating a family at a degree m yields its
 decomposition into irreducibles (terms_at) or its character
 (character_at).
 
-terms_at touches no conjugacy class of degree m.  Induced and
-single-irreducible families follow Pieri's rule and the socle directly;
-a cycle module, or a tensor product, takes a polynomial that evaluates
-to its character at m and reads the decomposition off that polynomial
-with frobenius.decompose_poly, which needs classes of degree at most the
-polynomial's weight.  character_at runs over the p(m) classes of S_m:
-cycle modules evaluate their polynomial on every class and tensor
+terms_at touches no conjugacy class of degree m.  With its factors
+indexed by socles, an induced family, a cycle module or a tensor product
+is a step function of m, read off a step list that is built once per
+base or polynomial.  An induced family uses its base's list of entries
+(s, |s| + nu_1, multiplicity of nu) over the horizontal strips nu/s
+(Pieri's rule, pieri.projective_terms).  A cycle module, or a tensor
+product, uses the entries (s, |s| + mu_1, f_mu) of a polynomial that
+evaluates to its character at m (frobenius.decompose_poly), which needs
+classes of degree at most the polynomial's weight.  A single-irreducible
+family is one socle, padded.  character_at runs over the p(m) classes of
+S_m: cycle modules evaluate their polynomial on every class and tensor
 products multiply characters pointwise, so it stays an independent
 second route.  Both are guarded by an explicit degree budget.
 """
@@ -394,8 +398,6 @@ def _build(head, args, pos):
         try:
             return parse_partition(text)
         except ParseError as exc:
-            # parse_partition counts from the first non-blank character
-            p += len(text) - len(text.lstrip())
             raise ParseError(exc.message, p + exc.pos) from None
 
     def family(arg):

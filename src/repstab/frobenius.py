@@ -34,7 +34,9 @@ s[m] once when s[m]/mu is a horizontal strip, that is when
 m - |s| >= mu_1 >= s_1 >= mu_2 >= s_2 >= ...: mu/s is a horizontal strip
 and m >= |s| + mu_1.  So the multiplicity of s[m] in P at m is a step
 function of m, read off the f_mu of degree <= weight(P) without any
-class of degree m (decompose_poly).
+class of degree m (decompose_poly).  Its entries (s, |s| + mu_1, f_mu)
+come from pieri.horizontal_strip_steps, which lists the steps of an
+induced family the same way.
 """
 
 from fractions import Fraction
@@ -45,6 +47,7 @@ from math import factorial, lcm
 from .characters import irr_row
 from .cyclepoly import CharPolynomial
 from .partitions import Partition, centralizer_order, classes, partitions_of
+from .pieri import horizontal_strip_steps
 
 
 def frobenius_poly(lam):
@@ -100,8 +103,18 @@ def _falling_coefficients(n):
 
 
 def frobenius_poly_of_module(dec):
-    """Sum of irreducible character polynomials weighted by multiplicities."""
-    return _combine((n, frobenius_poly(lam)) for lam, n in dec.items())
+    """Sum of irreducible character polynomials weighted by multiplicities.
+
+    It depends on the socle multiplicities of dec alone, so it is cached
+    on them and shared by every degree where they are the same.
+    """
+    return _module_poly(frozenset(dec.socle_multiplicities().items()))
+
+
+@lru_cache(maxsize=1024)
+def _module_poly(socles):
+    """The sum of n * frobenius_poly_stable(s) over the pairs (s, n) of socles."""
+    return _combine((n, frobenius_poly_stable(s)) for s, n in socles)
 
 
 def _combine(pairs):
@@ -204,12 +217,4 @@ def _socle_steps(poly, top):
     of num[mu] / den over the entries for s that start at or below m.
     """
     num, den = frobenius_coefficients(poly, top)
-    steps = []
-    for mu, f in num.items():
-        first = mu.parts[0] if mu else 0
-        ranges = (range(lo, hi + 1) for lo, hi in zip(mu.parts[1:] + (0,), mu.parts))
-        for parts in product(*ranges):  # mu_1 >= s_1 >= mu_2 >= s_2 >= ...
-            s = Partition(p for p in parts if p)
-            steps.append((s, s.size + first, f))
-    steps.sort(key=lambda entry: entry[1])
-    return tuple(steps), den
+    return horizontal_strip_steps(num), den

@@ -34,6 +34,15 @@ class Partition:
                 raise ValueError(f"partition parts must be weakly decreasing: {parts}")
         self.parts = parts
 
+    @classmethod
+    def from_parts(cls, parts):
+        """The partition with the given parts, a tuple of positive ints
+        already known to be weakly decreasing: unlike __init__, nothing is
+        converted or checked."""
+        lam = cls.__new__(cls)
+        lam.parts = parts
+        return lam
+
     @property
     def size(self):
         return sum(self.parts)
@@ -70,7 +79,7 @@ class Partition:
 
     def socle(self):
         """Drop the first row: (l1, l2, ..., lk) -> (l2, ..., lk)."""
-        return Partition(self.parts[1:])
+        return Partition.from_parts(self.parts[1:])
 
     def weight(self):
         """Size minus the first part; 0 for the empty partition."""
@@ -83,14 +92,15 @@ class Partition:
         weakly decreasing.
         """
         first = self.parts[0] if self.parts else 0
-        if m - self.size < first:
+        row = m - self.size
+        if row < first:
             raise ValueError(
                 f"padding too small: need m >= {self.size + first}, got {m}"
             )
-        if m == self.size:
+        if not row:
             # only reachable for the empty partition at m = 0
             return self
-        return Partition((m - self.size,) + self.parts)
+        return Partition.from_parts((row,) + self.parts)
 
     def double_first(self):
         """Duplicate the first row: (l1, l2, ...) -> (l1, l1, l2, ...).
@@ -103,21 +113,29 @@ class Partition:
 
 
 def parse_partition(text):
-    """Parse comma-separated parts, e.g. '3,2,2'; '-' is the empty partition."""
+    """Parse comma-separated parts, e.g. '3,2,2'; '-' is the empty partition.
+
+    Blanks around the text and around each part are ignored.  An error is
+    reported at the first non-blank character of the bad part, or of the
+    text, counted in the text as given.
+    """
+    lead = len(text) - len(text.lstrip())
     text = text.strip()
     if text == "-":
         return Partition()
     if not text:
-        raise ParseError("empty partition is spelled '-'", 0)
+        raise ParseError("empty partition is spelled '-'", lead)
     parts = []
     for pos, chunk in _split_with_positions(text, ","):
-        if not chunk.strip().isdecimal():
-            raise ParseError(f"bad partition part {chunk.strip()!r}", pos)
-        parts.append(int(chunk))
+        part = chunk.strip()
+        if not part.isdecimal():
+            pos += lead + len(chunk) - len(chunk.lstrip())
+            raise ParseError(f"bad partition part {part!r}", pos)
+        parts.append(int(part))
     try:
         return Partition(parts)
     except ValueError as exc:
-        raise ParseError(str(exc), 0) from None
+        raise ParseError(str(exc), lead) from None
 
 
 def format_partition(lam):

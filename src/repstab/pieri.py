@@ -3,47 +3,71 @@
 Inducing the irreducible indexed by nu from degree n up to degree m
 (tensored with the trivial module on the extra m - n letters) decomposes
 multiplicity-free into the irreducibles whose diagrams add m - n boxes to
-nu with no two boxes in the same column (a horizontal strip).  The socles
-of the summands stop changing once m reaches |nu| + nu_1.
+nu with no two boxes in the same column (a horizontal strip).
+
+Write s[m] for the partition (m - |s|, s) of m.  Then s[m]/nu is a
+horizontal strip exactly when m - |s| >= nu_1 >= s_1 >= nu_2 >= s_2 >= ...:
+nu/s is a horizontal strip and m >= |s| + nu_1.  Only the last condition
+involves m, so an induced family is a step function of m.  Its step list
+holds one entry (s, |s| + nu_1, multiplicity of nu) for each factor nu of
+the base and each s with nu/s a horizontal strip, sorted by the start
+|s| + nu_1; the factors at degree m are the s[m] of the entries that start
+at or below m.  The list is built once per base (horizontal_strip_steps),
+and the socles stop changing once m reaches the last start, |nu| + nu_1
+for the widest nu.
 """
+
+from functools import lru_cache
+from itertools import product
 
 from .characters import IrrDecomposition
 from .partitions import Partition
 
 
+def horizontal_strip_steps(weights):
+    """The entries (s, |s| + mu_1, f) for every mu: f in weights and every
+    s with mu/s a horizontal strip, that is mu_1 >= s_1 >= mu_2 >= s_2 >=
+    ..., as a tuple sorted by the start |s| + mu_1.
+
+    By Pieri's rule s_mu h_(m - |mu|) holds s[m] once for each entry of mu
+    for s that starts at or below m, and no other irreducible.
+    """
+    steps = []
+    for mu, f in weights.items():
+        first = mu.parts[0] if mu else 0
+        ranges = (range(lo, hi + 1) for lo, hi in zip(mu.parts[1:] + (0,), mu.parts))
+        for parts in product(*ranges):
+            # only the last part can be 0: s_i >= mu_(i+1) >= 1 before it
+            if parts and not parts[-1]:
+                parts = parts[:-1]
+            steps.append((Partition.from_parts(parts), sum(parts) + first, f))
+    return tuple(sorted(steps, key=lambda entry: entry[1]))
+
+
+@lru_cache(maxsize=1024)
+def _induced_steps(base):
+    """horizontal_strip_steps of the (partition, multiplicity) pairs base."""
+    return horizontal_strip_steps(dict(base))
+
+
+def _socles_at(base, m):
+    """{s: multiplicity of s[m]} at degree m of the family induced from base."""
+    acc = {}
+    for s, start, n in _induced_steps(base):
+        if start > m:
+            break
+        acc[s] = acc.get(s, 0) + n
+    return acc
+
+
 def pieri_expand(nu, m):
     """Set of partitions of m obtained from nu by adding a horizontal strip.
 
-    Each row may grow up to the length of the row above it in nu, and one
-    new row of at most nu's last part may appear; this is exactly the
-    no-two-boxes-in-a-column condition.
+    These are the s[m] with nu/s a horizontal strip and m >= |s| + nu_1.
     """
     if m < nu.size:
         raise ValueError(f"cannot expand a partition of {nu.size} to smaller m={m}")
-    results = set()
-    rows = nu.parts
-    ell = len(rows)
-
-    def rec(i, prefix, remaining):
-        if i == ell:
-            if remaining == 0:
-                results.add(Partition(prefix))
-            elif ell == 0 or remaining <= rows[ell - 1]:
-                # one new bottom row, no wider than the last row of nu
-                if not prefix or remaining <= prefix[-1]:
-                    results.add(Partition(prefix + [remaining]))
-            return
-        low = rows[i]
-        high = rows[i - 1] if i > 0 else low + remaining
-        if prefix:
-            high = min(high, prefix[-1])
-        for newlen in range(low, min(high, low + remaining) + 1):
-            prefix.append(newlen)
-            rec(i + 1, prefix, remaining - (newlen - low))
-            prefix.pop()
-
-    rec(0, [], m - nu.size)
-    return results
+    return {s.pad(m) for s in _socles_at(((nu, 1),), m)}
 
 
 def projective_terms(w, m):
@@ -51,15 +75,12 @@ def projective_terms(w, m):
 
     Zero below the base degree of w; above it, the Pieri expansion of each
     factor of w, carried with its multiplicity (the construction is
-    additive and exact).
+    additive and exact), read off the step list of w.
     """
     if m < w.m:
         return IrrDecomposition(m)
-    acc = {}
-    for nu, mult in w.items():
-        for mu in pieri_expand(nu, m):
-            acc[mu] = acc.get(mu, 0) + mult
-    return IrrDecomposition(m, acc)
+    socles = _socles_at(w.items(), m)
+    return IrrDecomposition(m, {s.pad(m): n for s, n in socles.items()})
 
 
 def stable_socle_set(nu):

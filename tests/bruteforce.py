@@ -12,7 +12,7 @@ from math import factorial
 
 from repstab.characters import ClassFunction
 from repstab.errors import BudgetError
-from repstab.partitions import cycle_types_of
+from repstab.partitions import Partition, cycle_types_of
 
 # direct enumeration of S_m stops being reasonable past this degree
 INDUCTION_MAX_DEGREE = 8
@@ -211,6 +211,42 @@ def mn_beta_set(shape, cycles):
         value = mn_beta_set(tuple(sub), rest)
         total += -value if jumped % 2 else value
     return total
+
+
+def pieri_expand_recursive(nu, m):
+    """Set of partitions of m obtained from nu by adding a horizontal strip,
+    built row by row at the one degree m, as a reference for the step list.
+
+    Each row may grow up to the length of the row above it in nu, and one
+    new row of at most nu's last part may appear; this is exactly the
+    no-two-boxes-in-a-column condition.
+    """
+    if m < nu.size:
+        raise ValueError(f"cannot expand a partition of {nu.size} to smaller m={m}")
+    results = set()
+    rows = nu.parts
+    ell = len(rows)
+
+    def rec(i, prefix, remaining):
+        if i == ell:
+            if remaining == 0:
+                results.add(Partition(prefix))
+            elif ell == 0 or remaining <= rows[ell - 1]:
+                # one new bottom row, no wider than the last row of nu
+                if not prefix or remaining <= prefix[-1]:
+                    results.add(Partition(prefix + [remaining]))
+            return
+        low = rows[i]
+        high = rows[i - 1] if i > 0 else low + remaining
+        if prefix:
+            high = min(high, prefix[-1])
+        for newlen in range(low, min(high, low + remaining) + 1):
+            prefix.append(newlen)
+            rec(i + 1, prefix, remaining - (newlen - low))
+            prefix.pop()
+
+    rec(0, [], m - nu.size)
+    return results
 
 
 def induce_bruteforce(chi, m, max_degree=INDUCTION_MAX_DEGREE):

@@ -247,6 +247,16 @@ def test_irr_decomposition_rejects_non_integral_multiplicities():
     ) == 2
 
 
+def test_socle_multiplicities_are_a_fresh_dict():
+    # computed once per decomposition; a caller may change what it gets
+    dec = IrrDecomposition(4, {Partition([3, 1]): 2, Partition([4]): 1})
+    got = dec.socle_multiplicities()
+    assert got == {Partition([1]): 2, Partition(): 1}
+    got[Partition([1])] = 5
+    got.clear()
+    assert dec.socle_multiplicities() == {Partition([1]): 2, Partition(): 1}
+
+
 def test_character_table_shape():
     types, table = character_table(4)
     assert len(types) == 5 and len(table) == 5

@@ -258,6 +258,7 @@ SPEC_ERRORS = [
     ("(vfam 1 (vfam 1))", "expected a plain atom", 0),
     ('(vfam "2,x")', "bad partition part 'x'", 9),
     ('(vfam " 2,x")', "bad partition part 'x'", 10),
+    ('(vfam "2, x")', "bad partition part 'x'", 10),
     ("(sum (vfam 1) (vfam 2,x))", "bad partition part 'x'", 22),
     ('(vfam "")', "empty partition is spelled '-'", 7),
     ('(vfam "1,2")', "partition parts must be weakly decreasing: (1, 2)", 7),

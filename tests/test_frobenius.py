@@ -3,7 +3,7 @@ from itertools import zip_longest
 
 from hypothesis import given, settings, strategies as st
 
-from repstab import fbmodules, frobenius
+from repstab import fbmodules, frobenius, pieri
 from repstab.characters import IrrDecomposition, inner_product, irr_char, irr_character
 from repstab.cyclepoly import (
     CharPolynomial,
@@ -112,6 +112,8 @@ def test_caches_are_bounded():
         frobenius._falling_coefficients,
         frobenius._power_coefficients,
         frobenius._socle_steps,
+        frobenius._module_poly,
+        pieri._induced_steps,
         fbmodules._terms,
         fbmodules._character,
         fbmodules.cycle_poly_product,
@@ -146,6 +148,16 @@ def test_module_polynomial_examples():
     double = IrrDecomposition(3, {Partition([2, 1]): 2})
     assert frobenius_poly_of_module(double) == 2 * (X(1) - 1)
     assert frobenius_poly_of_module(IrrDecomposition(4)).is_zero()
+
+
+def test_module_polynomial_follows_every_multiplicity():
+    # the cache is keyed on the socle multiplicities: the same socles with
+    # other multiplicities give another polynomial, and the same vector at
+    # another degree gives the same one
+    one, two = frobenius_poly_stable(Partition()), frobenius_poly_stable(Partition([1]))
+    for m, a, b in [(5, 1, 1), (5, 2, 1), (5, 1, 3), (7, 2, 1), (2, 1, 1)]:
+        dec = IrrDecomposition(m, {Partition([m]): a, Partition([m - 1, 1]): b})
+        assert frobenius_poly_of_module(dec) == a * one + b * two, (m, a, b)
 
 
 def test_module_polynomial_evaluates_to_module_character():

@@ -169,6 +169,8 @@ TEXT_ERRORS = [
     (parse_partition, "3,,2", "bad partition part ''", 2),
     (parse_partition, "2,3", "partition parts must be weakly decreasing: (2, 3)", 0),
     (parse_partition, "2,²", "bad partition part '²'", 2),
+    (parse_partition, "2, x", "bad partition part 'x'", 3),
+    (parse_partition, " 2,x", "bad partition part 'x'", 3),
     (parse_cycle_type, "0^2", "cycle lengths start at 1, got 0", 0),
     (parse_cycle_type, "2^1 2^1", "duplicate cycle length 2", 4),
     (parse_cycle_type, "1^²", "bad cycle-type factor '1^²'", 0),

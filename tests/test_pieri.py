@@ -1,4 +1,7 @@
+from collections import Counter
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repstab.characters import IrrDecomposition, decompose, irr_character
 from repstab.fbmodules import parse_spec
@@ -10,7 +13,7 @@ from repstab.pieri import (
     stable_socle_set,
 )
 
-from bruteforce import induce_bruteforce
+from bruteforce import induce_bruteforce, pieri_expand_recursive
 
 
 def P(*parts):
@@ -127,6 +130,29 @@ def test_projective_terms_match_bruteforce_on_modules():
     chi = w.character()
     for m in range(2, 6):
         assert projective_terms(w, m) == decompose(induce_bruteforce(chi, m))
+
+
+bases = st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.sampled_from(partitions_of(n)), max_size=4).map(
+        lambda lams: IrrDecomposition(n, Counter(lams))
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@example(parse_spec('(proj 4 "2,2" "2,2" "3,1")').base)
+@given(bases)
+def test_step_list_matches_the_recursion(w):
+    # every degree read off the base's one step list, against the strips
+    # rebuilt row by row at that degree, factor by factor
+    for m in range(w.m, w.m + 11):
+        expected = Counter()
+        for nu, n in w.items():
+            strips = pieri_expand_recursive(nu, m)
+            assert pieri_expand(nu, m) == strips, (nu, m)
+            for mu in strips:
+                expected[mu] += n
+        assert projective_terms(w, m) == IrrDecomposition(m, expected), m
 
 
 @pytest.mark.parametrize(

@@ -240,17 +240,20 @@ def test_negative_m_max_rejected(estimator):
 
 
 def _cold_scan(text, m_max):
-    from repstab import characters, fbmodules, frobenius
+    from repstab import characters, fbmodules, frobenius, pieri
 
     characters.clear_caches()
     frobenius.frobenius_poly_stable.cache_clear()
     frobenius._binomial_basis.cache_clear()
     frobenius._socle_steps.cache_clear()
+    frobenius._module_poly.cache_clear()
+    pieri._induced_steps.cache_clear()
     fbmodules._terms.cache_clear()
     fbmodules._character.cache_clear()
     fbmodules.cycle_poly_product.cache_clear()
     report = verify_equivalence(parse_spec(text), m_max, budget=m_max)
     assert report.all_bounds_hold()
+    return report
 
 
 def test_cold_pieri_scan_builds_no_cycle_type(monkeypatch):
@@ -285,6 +288,33 @@ def test_cold_pieri_scan_computes_no_class_size(monkeypatch):
     monkeypatch.setattr(partitions, "_class_size", counting_size)
     _cold_scan('(proj 3 "2,1")', 12)
     assert sized == []
+
+
+def test_cold_pieri_scan_builds_its_step_list_once():
+    # the horizontal strips of the base are listed once, and each degree
+    # from the base degree 5 to 28 is read off that one list
+    from repstab import pieri
+
+    _cold_scan('(proj 5 "3,2" "2,2,1" "3,1,1")', 28)
+    info = pieri._induced_steps.cache_info()
+    assert (info.misses, info.hits) == (1, 23)
+
+
+def test_cold_pieri_scan_sums_each_module_polynomial_once():
+    # the module polynomial depends on the socle multiplicities alone: the
+    # scan reads it at m_max and at every degree of the bound checks, and
+    # sums it once for each distinct socle-multiplicity vector among them
+    from repstab import frobenius
+
+    text = '(proj 5 "3,2" "2,2,1" "3,1,1")'
+    report = _cold_scan(text, 28)
+    info = frobenius._module_poly.cache_info()
+    spec = parse_spec(text)
+    lo = max(2 * report.poly.weighted_degree(), report.rank_pc)
+    vectors = [terms_at(spec, m, 28).socle_multiplicities() for m in range(lo, 29)]
+    assert len(vectors) > 1
+    assert info.misses == len({frozenset(v.items()) for v in vectors}) == 1
+    assert info.hits == len(vectors)  # m_max is read twice
 
 
 def test_cold_cycle_scan_reads_no_class_above_the_weight(monkeypatch):
