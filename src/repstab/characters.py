@@ -30,8 +30,8 @@ def clear_caches():
 
     Left as they are: the caches of frobenius (stable polynomials, binomial
     products, Stirling rows, module polynomials, polynomial step lists),
-    the step lists of induced families in pieri, and the term, character
-    and cycle-polynomial caches of fbmodules.
+    the step lists of induced families in pieri, and the socle,
+    character and cycle-polynomial caches of fbmodules.
     """
     _mnpure.clear_cache()
     classes.cache_clear()
@@ -226,11 +226,10 @@ def trivial_character(m):
 class IrrDecomposition:
     """Multiset of irreducible factors of a module of degree m.
 
-    Zero multiplicities are never stored; hashable and immutable.  The
-    socle multiplicities are computed on first request and kept.
+    Zero multiplicities are never stored; hashable and immutable.
     """
 
-    __slots__ = ("m", "_items", "_socles")
+    __slots__ = ("m", "_items")
 
     def __init__(self, m, mults=()):
         self.m = m
@@ -246,7 +245,6 @@ class IrrDecomposition:
             if n:
                 acc[lam] = acc.get(lam, 0) + n
         self._items = tuple(sorted(acc.items(), key=lambda kv: kv[0].parts, reverse=True))
-        self._socles = None
 
     def items(self):
         return self._items
@@ -276,9 +274,7 @@ class IrrDecomposition:
     def socle_multiplicities(self):
         """Map socle -> multiplicity (socles of distinct factors never
         collide), as a fresh dict on each call."""
-        if self._socles is None:
-            self._socles = {lam.socle(): n for lam, n in self._items}
-        return dict(self._socles)
+        return {lam.socle(): n for lam, n in self._items}
 
     def character(self):
         acc = [0] * len(classes(self.m).cycles)

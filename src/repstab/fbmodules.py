@@ -3,23 +3,27 @@
 A family is described by a finite tree of constructors: induced
 (projective) families, the single-irreducible families V, permutation
 modules on cycles, tensor products, direct sums, degree truncation, and
-weight truncation.  Evaluating a family at a degree m yields its
-decomposition into irreducibles (terms_at) or its character
-(character_at).
+weight truncation.  Evaluating a family at a degree m yields its socle
+multiplicities {s: multiplicity of s[m]} (socles_at), its decomposition
+into irreducibles (terms_at) or its character (character_at).
 
-terms_at touches no conjugacy class of degree m.  With its factors
-indexed by socles, an induced family, a cycle module or a tensor product
-is a step function of m, read off a step list that is built once per
-base or polynomial.  An induced family uses its base's list of entries
+The socle multiplicities are the one per-degree form inside the library,
+held in one bounded cache; terms_at pads each socle s to s[m] and builds
+the decomposition only at the API edge.  They touch no conjugacy class
+of degree m.  An induced family, a cycle module or a tensor product is a
+step function of m, read off a step list that is built once per base or
+polynomial.  An induced family uses its base's list of entries
 (s, |s| + nu_1, multiplicity of nu) over the horizontal strips nu/s
-(Pieri's rule, pieri.projective_terms).  A cycle module, or a tensor
-product, uses the entries (s, |s| + mu_1, f_mu) of a polynomial that
-evaluates to its character at m (frobenius.decompose_poly), which needs
-classes of degree at most the polynomial's weight.  A single-irreducible
-family is one socle, padded.  character_at runs over the p(m) classes of
-S_m: cycle modules evaluate their polynomial on every class and tensor
-products multiply characters pointwise, so it stays an independent
-second route.  Both are guarded by an explicit degree budget.
+(Pieri's rule, pieri.horizontal_strip_steps).  A cycle module, or a
+tensor product, uses the entries (s, |s| + mu_1, f_mu) of a polynomial
+that evaluates to its character at m (frobenius.decompose_poly), which
+needs classes of degree at most the polynomial's weight.  A
+single-irreducible family is one socle, a direct sum adds multiplicities,
+and the truncations cut on m or on |s|, the weight of s[m].
+character_at runs over the p(m) classes of S_m: cycle modules evaluate
+their polynomial on every class and tensor products multiply characters
+pointwise, so it stays an independent second route.  All three are
+guarded by an explicit degree budget.
 """
 
 import re
@@ -32,9 +36,9 @@ from math import gcd
 from .characters import ClassFunction, IrrDecomposition
 from .cyclepoly import CharPolynomial, X, eval_rho_all, falling_factorial
 from .errors import BudgetError, ParseError
-from .frobenius import decompose_poly, frobenius_poly_of_module
+from .frobenius import decompose_poly, frobenius_poly_of_socles
 from .partitions import Partition, format_partition, parse_partition
-from .pieri import projective_terms
+from .pieri import _socles_at
 
 DEFAULT_BUDGET = 14
 
@@ -121,9 +125,17 @@ class WeightTruncateGT:
 
 
 def terms_at(spec, m, budget=DEFAULT_BUDGET):
-    """Decomposition into irreducibles of the family at degree m."""
+    """Decomposition into irreducibles of the family at degree m: its
+    socle multiplicities, each socle s padded to s[m]."""
     check_budget(m, budget)
-    return _terms(spec, m)
+    return _decomposition(_socles(spec, m), m)
+
+
+def socles_at(spec, m, budget=DEFAULT_BUDGET):
+    """{s: multiplicity of s[m]} of the family at degree m, zero entries
+    dropped, as a fresh dict."""
+    check_budget(m, budget)
+    return dict(_socles(spec, m))
 
 
 def character_at(spec, m, budget=DEFAULT_BUDGET):
@@ -158,54 +170,64 @@ def check_budget(m, budget):
 
 
 @lru_cache(maxsize=1024)
-def _terms(spec, m):
+def _socles(spec, m):
+    """{s: multiplicity of s[m]} of the family at degree m, zero entries
+    dropped; shared by every caller, so never changed in place."""
     match spec:
         case Projective(base=w):
-            return projective_terms(w, m)
+            return {} if m < w.m else _socles_at(w.items(), m)
         case VFamily(lam=lam, convention=conv):
             if conv == "socle":
-                if m < lam.size:
-                    return IrrDecomposition(m)
-                return IrrDecomposition(m, {lam.socle().pad(m): 1})
+                return {} if m < lam.size else {lam.socle(): 1}
             first = lam.parts[0] if lam else 0
-            if m < lam.size + first:
-                return IrrDecomposition(m)
-            return IrrDecomposition(m, {lam.pad(m): 1})
+            return {} if m < lam.size + first else {lam: 1}
         case CycleModule(nu=nu):
-            return _decomposition(cycle_poly_product(nu), m)
+            return _module_socles(cycle_poly_product(nu), m)
         case Tensor(left=left, right=right):
-            return _decomposition(_factor_poly(left, m) * _factor_poly(right, m), m)
+            return _module_socles(_factor_poly(left, m) * _factor_poly(right, m), m)
         case DirectSum(children=children):
-            total = IrrDecomposition(m)
+            total = {}
             for child in children:
-                total = total + _terms(child, m)
+                for s, n in _socles(child, m).items():
+                    total[s] = total.get(s, 0) + n
             return total
         case Truncate(child=child, cutoff=cutoff):
-            if m < cutoff:
-                return IrrDecomposition(m)
-            return _terms(child, m)
-        case WeightTruncateLE(child=child, p=p):
-            return weight_truncate(_terms(child, m), p)[1]
+            return {} if m < cutoff else _socles(child, m)
+        case WeightTruncateLE(child=child, p=p):  # s[m] has weight |s|
+            return {s: n for s, n in _socles(child, m).items() if s.size <= p}
         case WeightTruncateGT(child=child, p=p):
-            return weight_truncate(_terms(child, m), p)[0]
+            return {s: n for s, n in _socles(child, m).items() if s.size > p}
     raise TypeError(f"not a family constructor: {spec!r}")
 
 
 def _factor_poly(spec, m):
     """A polynomial that evaluates to the family's character at degree m.
 
-    The module polynomial of the terms at m does so because every
+    The module polynomial of the socles at m does so because every
     partition of m is admissible for its socle.
     """
     if isinstance(spec, CycleModule):
         return cycle_poly_product(spec.nu)
-    return frobenius_poly_of_module(_terms(spec, m))
+    return frobenius_poly_of_socles(_socles(spec, m))
 
 
-def _decomposition(poly, m):
-    """The decomposition at degree m of a polynomial that evaluates to a
-    character there."""
-    return IrrDecomposition(m, {s.pad(m): n for s, n in decompose_poly(poly, m).items()})
+def _module_socles(poly, m):
+    """The socle multiplicities at degree m of a polynomial that evaluates
+    to a character there; ValueError when an entry of decompose_poly is
+    negative or not an integer."""
+    socles = {}
+    for s, n in decompose_poly(poly, m).items():
+        if n.denominator != 1:
+            raise ValueError(f"non-integral multiplicity {n} for {s.pad(m)}")
+        if n < 0:
+            raise ValueError(f"negative multiplicity {n} for {s.pad(m)}")
+        socles[s] = n.numerator
+    return socles
+
+
+def _decomposition(socles, m):
+    """The decomposition at degree m with the socle multiplicities socles."""
+    return IrrDecomposition(m, {s.pad(m): n for s, n in socles.items()})
 
 
 @lru_cache(maxsize=1024)
@@ -221,7 +243,7 @@ def _character(spec, m):
                 total = total + _character(child, m)
             return total
         case _:
-            return _terms(spec, m).character()
+            return _decomposition(_socles(spec, m), m).character()
 
 
 # -- cycle-count polynomials --------------------------------------------------

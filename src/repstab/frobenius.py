@@ -47,7 +47,7 @@ from math import factorial, lcm
 from .characters import irr_row
 from .cyclepoly import CharPolynomial
 from .partitions import Partition, centralizer_order, classes, partitions_of
-from .pieri import horizontal_strip_steps
+from .pieri import horizontal_strip_steps, sum_steps
 
 
 def frobenius_poly(lam):
@@ -105,10 +105,17 @@ def _falling_coefficients(n):
 def frobenius_poly_of_module(dec):
     """Sum of irreducible character polynomials weighted by multiplicities.
 
-    It depends on the socle multiplicities of dec alone, so it is cached
-    on them and shared by every degree where they are the same.
+    It depends on the socle multiplicities of dec alone
+    (frobenius_poly_of_socles).
     """
-    return _module_poly(frozenset(dec.socle_multiplicities().items()))
+    return frobenius_poly_of_socles(dec.socle_multiplicities())
+
+
+def frobenius_poly_of_socles(socles):
+    """The sum of n * frobenius_poly_stable(s) over the socle
+    multiplicities {s: n}, cached on them and so shared by every degree
+    where they are the same."""
+    return _module_poly(frozenset(socles.items()))
 
 
 @lru_cache(maxsize=1024)
@@ -201,12 +208,7 @@ def decompose_poly(poly, m):
     most min(m, weight(poly)) are used.
     """
     steps, den = _socle_steps(poly, min(m, poly.weighted_degree()))
-    acc = {}
-    for s, start, f in steps:
-        if start > m:
-            break
-        acc[s] = acc.get(s, 0) + f
-    return {s: Fraction(n, den) for s, n in acc.items() if n}
+    return {s: Fraction(n, den) for s, n in sum_steps(steps, m).items() if n}
 
 
 @lru_cache(maxsize=1024)

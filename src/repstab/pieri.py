@@ -50,14 +50,20 @@ def _induced_steps(base):
     return horizontal_strip_steps(dict(base))
 
 
-def _socles_at(base, m):
-    """{s: multiplicity of s[m]} at degree m of the family induced from base."""
+def sum_steps(steps, m):
+    """{s: the sum of f over the entries (s, start, f) of steps that start
+    at or below m}, for a step list sorted by start; sums may be 0."""
     acc = {}
-    for s, start, n in _induced_steps(base):
+    for s, start, f in steps:
         if start > m:
             break
-        acc[s] = acc.get(s, 0) + n
+        acc[s] = acc.get(s, 0) + f
     return acc
+
+
+def _socles_at(base, m):
+    """{s: multiplicity of s[m]} at degree m of the family induced from base."""
+    return sum_steps(_induced_steps(base), m)
 
 
 def pieri_expand(nu, m):

@@ -1,15 +1,18 @@
 """Empirical certification of the two stability ranks of a module family.
 
-rank_rs_estimate finds the degree past which the socle-indexed
-multiplicities of the family's decompositions stop changing (and the
-occurring socles are admissible for that degree); rank_pc_estimate finds
-the degree past which one fixed polynomial in the cycle-count variables
-evaluates to the family's characters.  It compares decompositions, not
-values: frobenius.decompose_poly reads the polynomial's decomposition at
-each degree from classes of degree at most its weight, so neither
-estimator touches the conjugacy classes of the degrees it scans.  Both
-are certified only on the scanned window [0, m_max]: the estimators
-verify, they do not prove.
+Both ranks are statements about the family's socle multiplicities
+{s: multiplicity of s[m]} (fbmodules.socles_at), and the scan works on
+those alone: it builds no decomposition.  rank_rs_estimate finds the
+degree past which they stop changing (and the occurring socles are
+admissible for that degree); rank_pc_estimate finds the degree past
+which one fixed polynomial P in the cycle-count variables evaluates to
+the family's characters.  It compares multiplicities, not values: the
+step list of P (frobenius._socle_steps), built once per scan from
+classes of degree at most the weight of P, gives P's multiplicities at
+every degree in integers over one denominator, so neither estimator
+touches the conjugacy classes of the degrees it scans.  Both are
+certified only on the scanned window [0, m_max]: the estimators verify,
+they do not prove.
 
 The remaining operations exercise the structural facts relating the two
 ranks: the evaluation map from weight-bounded polynomials to class
@@ -30,10 +33,12 @@ from .fbmodules import (
     VFamily,
     check_budget,
     format_spec,
+    socles_at,
     terms_at,
 )
-from .frobenius import decompose_poly, frobenius_poly_of_module
+from .frobenius import _socle_steps, frobenius_poly_of_module, frobenius_poly_of_socles
 from .partitions import cycle_types_of, format_partition, partitions_of
+from .pieri import sum_steps
 
 
 @dataclass
@@ -83,9 +88,9 @@ def rank_rs_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     Constancy is only checked up to m_max.
     """
     check_budget(m_max, budget)
-    stable = terms_at(spec, m_max, budget).socle_multiplicities()
+    stable = socles_at(spec, m_max, budget)
     start = m_max
-    while start > 0 and terms_at(spec, start - 1, budget).socle_multiplicities() == stable:
+    while start > 0 and socles_at(spec, start - 1, budget) == stable:
         start -= 1
     admissible = max(
         (s.size + (s.parts[0] if s else 0) for s in stable), default=0
@@ -104,15 +109,21 @@ def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     candidate already fails at m_max - 1.
 
     Two class functions of one degree are equal exactly when their
-    decompositions are, so each degree compares decompose_poly(P, n)
-    with the family's socle multiplicities, and no class above the
-    weight of P is used.
+    decompositions are.  The step list of P (frobenius._socle_steps) is
+    read once: at each degree k its integer sums over the entries that
+    start at or below k are the multiplicities of P at k times den, and
+    are compared with the family's socle multiplicities times den.  An
+    entry for mu starts at or above |mu|, so the list taken at
+    min(m_max, weight of P) holds every entry that decompose_poly(P, k)
+    would read, and no class above the weight of P is used.
     """
     check_budget(m_max, budget)
-    poly = frobenius_poly_of_module(terms_at(spec, m_max, budget))
+    poly = frobenius_poly_of_socles(socles_at(spec, m_max, budget))
+    steps, den = _socle_steps(poly, min(m_max, poly.weighted_degree()))
 
     def agrees(k):
-        return decompose_poly(poly, k) == terms_at(spec, k, budget).socle_multiplicities()
+        sums = {s: n for s, n in sum_steps(steps, k).items() if n}
+        return sums == {s: n * den for s, n in socles_at(spec, k, budget).items()}
 
     n = m_max
     while n > 0 and agrees(n - 1):
@@ -120,7 +131,7 @@ def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     if n == m_max and m_max > 0:
         # re-derivation check: the polynomial taken one degree down must
         # disagree, else the failure would contradict its own construction
-        other = frobenius_poly_of_module(terms_at(spec, m_max - 1, budget))
+        other = frobenius_poly_of_socles(socles_at(spec, m_max - 1, budget))
         if other == poly:
             raise RuntimeError(
                 f"module polynomial at degree {m_max - 1} equals the candidate "
@@ -253,12 +264,13 @@ def verify_equivalence(spec, m_max, budget=DEFAULT_BUDGET):
     )
     lo = max(two_d, report.rank_pc)
     poly_ok, weight_ok = True, True
+    expected_w = 0 if poly.is_zero() else poly.weighted_degree()
     for m in range(lo, m_max + 1):
-        dec = terms_at(spec, m, budget)
-        if frobenius_poly_of_module(dec) != poly:
+        socles = socles_at(spec, m, budget)
+        if frobenius_poly_of_socles(socles) != poly:
             poly_ok = False
-        expected_w = 0 if poly.is_zero() else poly.weighted_degree()
-        if dec.module_weight() != expected_w:
+        # s[m] has weight |s|
+        if max((s.size for s in socles), default=0) != expected_w:
             weight_ok = False
     report.bound_checks.append(("poly_equals_module_polynomial", poly_ok))
     report.bound_checks.append(("module_weight_equals_poly_weight", weight_ok))

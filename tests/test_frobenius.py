@@ -114,7 +114,7 @@ def test_caches_are_bounded():
         frobenius._socle_steps,
         frobenius._module_poly,
         pieri._induced_steps,
-        fbmodules._terms,
+        fbmodules._socles,
         fbmodules._character,
         fbmodules.cycle_poly_product,
     ):

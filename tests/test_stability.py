@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repstab.characters import IrrDecomposition, inner_product, irr_character
+from repstab import frobenius
+from repstab.characters import IrrDecomposition, decompose, inner_product, irr_character
 from repstab.cyclepoly import CharPolynomial, X, eval_rho_all
 from repstab.fbmodules import (
     CycleModule,
@@ -21,6 +22,7 @@ from repstab.fbmodules import (
     cycle_poly_product,
     format_spec,
     parse_spec,
+    socles_at,
     terms_at,
 )
 from repstab.partitions import Partition, partitions_of
@@ -113,7 +115,7 @@ def test_contradictions_raise(monkeypatch):
     # both checks guard conclusions the theory rules out; force them to fire
     import repstab.stability as stability
 
-    monkeypatch.setattr(stability, "frobenius_poly_of_module", lambda dec: CharPolynomial.one())
+    monkeypatch.setattr(stability, "frobenius_poly_of_socles", lambda dec: CharPolynomial.one())
     with pytest.raises(RuntimeError):
         rank_pc_estimate(CycleModule(P(1)), 4)
     zero = eval_rho_all(CharPolynomial.zero(), 6)
@@ -239,7 +241,7 @@ def test_negative_m_max_rejected(estimator):
         estimator(CycleModule(P(1)), -1)
 
 
-def _cold_scan(text, m_max):
+def _clear_caches():
     from repstab import characters, fbmodules, frobenius, pieri
 
     characters.clear_caches()
@@ -248,12 +250,38 @@ def _cold_scan(text, m_max):
     frobenius._socle_steps.cache_clear()
     frobenius._module_poly.cache_clear()
     pieri._induced_steps.cache_clear()
-    fbmodules._terms.cache_clear()
+    fbmodules._socles.cache_clear()
     fbmodules._character.cache_clear()
     fbmodules.cycle_poly_product.cache_clear()
+
+
+def _cold_scan(text, m_max):
+    _clear_caches()
     report = verify_equivalence(parse_spec(text), m_max, budget=m_max)
     assert report.all_bounds_hold()
     return report
+
+
+@pytest.mark.parametrize(
+    "text, m_max",
+    [('(proj 5 "3,2" "2,2,1" "3,1,1")', 28), ("(tensor (vfam 2,1) (vfam 1))", 17)],
+)
+def test_cold_scan_builds_no_irr_decomposition(monkeypatch, text, m_max):
+    # a scan works on socle multiplicities throughout; a decomposition is
+    # built only at the API edge (terms_at), which a scan never reaches
+    spec = parse_spec(text)  # a proj base is itself a decomposition
+    _clear_caches()
+    built = []
+    init = IrrDecomposition.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IrrDecomposition, "__init__", counting_init)
+    report = verify_equivalence(spec, m_max, budget=m_max)
+    assert report.all_bounds_hold()
+    assert built == []
 
 
 def test_cold_pieri_scan_builds_no_cycle_type(monkeypatch):
@@ -442,11 +470,19 @@ def test_random_family_round_trips_and_certifies(spec):
     # the text form reads back, the two routes to a character agree, and
     # every bound relating the two ranks holds once both ranks are found
     assert parse_spec(format_spec(spec)) == spec
-    for m in range(9):
-        assert terms_at(spec, m).character() == character_at(spec, m), m
+    for m in range(11):
+        chi = character_at(spec, m, budget=10)
+        terms = terms_at(spec, m, budget=10)
+        assert terms.character() == chi, m
+        # the second route: the character decomposed on the classes of degree m
+        assert terms == decompose(chi), m
+        assert socles_at(spec, m, budget=10) == terms.socle_multiplicities(), m
     report = verify_equivalence(spec, 10, budget=10)
     if report.rank_rs is not None and report.rank_pc is not None:
         assert report.bound_checks and report.all_bounds_hold(), report.bound_checks
+        # the exact identity, with the steps of P restricted to the window
+        n_p = last_net_step(report.poly, 10)
+        assert report.rank_rs == max(report.rank_pc, n_p), (report.rank_pc, n_p)
     if report.rank_pc is not None:
         # the class route: the polynomial on every class, from rank_pc on
         n = report.rank_pc
@@ -454,3 +490,47 @@ def test_random_family_round_trips_and_certifies(spec):
             assert eval_rho_all(report.poly, m) == character_at(spec, m), m
         if n > 0:
             assert eval_rho_all(report.poly, n - 1) != character_at(spec, n - 1)
+
+
+# -- the exact identity rank_rs = max(rank_pc, N_P) ----------------------------
+
+
+def last_net_step(poly, upto=None):
+    """N_P: the largest start <= upto (default: any) at which the
+    multiplicity of some socle s[m] in poly at m changes, 0 if there is none.
+
+    Read off the step list of poly: the net step of (s, start) is the sum
+    of the entries for s that start there, and from N_P on the socle
+    multiplicities of poly are constant.
+    """
+    steps, _ = frobenius._socle_steps(poly, poly.weighted_degree())
+    net = {}
+    for s, start, f in steps:
+        if upto is None or start <= upto:
+            net[s, start] = net.get((s, start), 0) + f
+    return max((start for (_, start), f in net.items() if f), default=0)
+
+
+# the specs of the CI rank scans
+CI_SPECS = (
+    '(proj 5 "3,2" "2,2,1" "3,1,1")',
+    '(sum (proj 4 "2,2") (wtrunc<= 2 (proj 4 "3,1")) (vfam 3,2,1))',
+    "(cycle 3 2)",
+    "(cycle 2 1)",
+    "(tensor (vfam 2,1) (vfam 1))",
+    '(proj 4 "2,2" "2,2" "3,1")',
+    '(tensor (proj 3 "2,1") (vfam 1))',
+    '(wtrunc> 1 (proj 4 "3,1"))',
+    "(trunc>= 9 (vfam 2,1 padded))",
+    '(tensor (cycle 2) (wtrunc<= 1 (proj 3 "2,1")))',
+)
+
+
+@pytest.mark.parametrize("text", CI_SPECS)
+def test_rank_rs_is_max_of_rank_pc_and_the_last_step(text):
+    # (PC) => (RS) exactly: from rank_pc on the family's socle multiplicities
+    # are those of P, and those stop changing at N_P
+    report = verify_equivalence(parse_spec(text), 30, budget=30)
+    n_p = last_net_step(report.poly)
+    assert n_p <= 2 * report.poly.weighted_degree() <= 30
+    assert report.rank_rs == max(report.rank_pc, n_p), (report.rank_pc, n_p)
