@@ -8,6 +8,8 @@ symmetric-group modules: representation stability and character
 polynomiality.  All arithmetic is exact (integers and rationals).
 """
 
+import sys
+
 from .characters import ClassFunction, IrrDecomposition, decompose, inner_product, irr_char
 from .cyclepoly import CharPolynomial, X, eval_rho, eval_rho_all, parse_poly
 from .fbmodules import (
@@ -52,6 +54,7 @@ __all__ = [
     "X",
     "character_at",
     "class_size",
+    "clear_caches",
     "cycle_poly",
     "cycle_types_of",
     "decompose",
@@ -74,3 +77,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def clear_caches():
+    """Empty every lru_cache of every repstab module, the kernel rows and
+    the per-degree socle caches included."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()

@@ -60,10 +60,6 @@ def _mask(shape):
     return mask
 
 
-def clear_cache():
-    _row.cache_clear()
-
-
 def cache_size():
     """Number of rows in the kernel cache, at most ROW_CACHE_ROWS."""
     return _row.cache_info().currsize

@@ -25,18 +25,6 @@ def kernel_name():
     return "pure"
 
 
-def clear_caches():
-    """Empty the kernel's row cache and the classes cache.
-
-    Left as they are: the caches of frobenius (stable polynomials, binomial
-    products, Stirling rows, module polynomials, polynomial step lists),
-    the step lists of induced families in pieri, and the socle,
-    character and cycle-polynomial caches of fbmodules.
-    """
-    _mnpure.clear_cache()
-    classes.cache_clear()
-
-
 def irr_char(lam, t):
     """Value of the irreducible character indexed by lam at cycle type t.
 

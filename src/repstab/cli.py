@@ -43,12 +43,22 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
+def _nonnegative_int(text):
+    """The argparse type of --budget: an int >= 0, else a usage error."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid nonnegative int value: {text!r}")
+
+
 def _build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON (schema 1)")
     common.add_argument(
         "--budget",
-        type=int,
+        type=_nonnegative_int,
         default=DEFAULT_BUDGET,
         help=(
             f"cap on the degree (default {DEFAULT_BUDGET}): on m for the commands that "

@@ -1,7 +1,7 @@
 """Sparse polynomials in the cycle-count variables X_1, X_2, ... over Q.
 
 The ring carries two gradings: the plain degree (deg X_i = 1) and the
-weight (deg_w X_i = i).  Evaluation at a cycle type t substitutes
+weight (deg_w X_i = i).  Evaluation at a cycle type t sets
 X_i := number of i-cycles of t; lifting the evaluation over every class
 of a fixed degree m gives a class function.
 
@@ -145,24 +145,6 @@ class CharPolynomial:
     def variables(self):
         return sorted({v for mono in self.terms for v, _ in mono})
 
-    # -- evaluation -------------------------------------------------------
-
-    def substitute(self, mapping):
-        """Substitute whole polynomials for variables: X_i := mapping[i].
-
-        Variables absent from the mapping are kept.
-        """
-        total = CharPolynomial.zero()
-        for mono, coef in self.terms.items():
-            term = CharPolynomial.constant(coef)
-            for v, e in mono:
-                base = mapping.get(v)
-                if base is None:
-                    base = CharPolynomial.variable(v)
-                term = term * base**e
-            total = total + term
-        return total
-
     def __repr__(self):
         return f"CharPolynomial({format_poly(self)!r})"
 
@@ -237,46 +219,6 @@ def eval_rho_all(poly, m):
                 vals = [a * x**e for a, x in zip(vals, col)]
         num = list(map(add, num, vals))
     return ClassFunction.from_ints(m, num, den)
-
-
-def kernel_relations(m):
-    """Generators of relations that vanish on every class of degree m.
-
-    The linear relation X_1 + 2 X_2 + ... + m X_m - m, and for each i the
-    falling factorial X_i (X_i - 1) ... (X_i - floor(m/i)).
-    """
-    linear = sum((i * X(i) for i in range(1, m + 1)), CharPolynomial.zero()) - m
-    rels = [linear]
-    for i in range(1, m + 1):
-        rels.append(falling_factorial(X(i), m // i + 1))
-    return rels
-
-
-def class_indicator(t):
-    """A polynomial whose evaluation is 1 on the class of t and 0 on every
-    other class of the same degree.
-
-    Built as the product over i of the Lagrange-style factors
-    D_k(X_i) = R_k(X_i) / R_k(k) with R_k(Z) = prod_{j != k} (Z - j),
-    where k is the number of i-cycles of t and j ranges over the values
-    X_i can take on degree m, i.e. 0..floor(m/i).
-    """
-    m = t.m
-    out = CharPolynomial.one()
-    for i in range(1, m + 1):
-        out = out * _lagrange_factor(X(i), t.count(i), m // i)
-    return out
-
-
-def _lagrange_factor(z, k, span):
-    num = CharPolynomial.one()
-    den = Fraction(1)
-    for j in range(span + 1):
-        if j == k:
-            continue
-        num = num * (z - j)
-        den *= k - j
-    return num / den
 
 
 # -- printing and parsing ---------------------------------------------------

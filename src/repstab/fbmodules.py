@@ -12,11 +12,12 @@ held in one bounded cache; terms_at pads each socle s to s[m] and builds
 the decomposition only at the API edge.  They touch no conjugacy class
 of degree m.  An induced family, a cycle module or a tensor product is a
 step function of m, read off a step list that is built once per base or
-polynomial.  An induced family uses its base's list of entries
-(s, |s| + nu_1, multiplicity of nu) over the horizontal strips nu/s
-(Pieri's rule, pieri.horizontal_strip_steps).  A cycle module, or a
-tensor product, uses the entries (s, |s| + mu_1, f_mu) of a polynomial
-that evaluates to its character at m (frobenius.decompose_poly), which
+polynomial, and summed in integers up to m (pieri.sum_steps).  An
+induced family uses its base's list of entries (s, |s| + nu_1,
+multiplicity of nu) over the horizontal strips nu/s (Pieri's rule,
+pieri.induced_steps).  A cycle module, or a tensor product, uses the
+entries (s, |s| + mu_1, f_mu) of a polynomial that evaluates to its
+character at m, over one denominator (frobenius.socle_steps), which
 needs classes of degree at most the polynomial's weight.  A
 single-irreducible family is one socle, a direct sum adds multiplicities,
 and the truncations cut on m or on |s|, the weight of s[m].
@@ -36,9 +37,9 @@ from math import gcd
 from .characters import ClassFunction, IrrDecomposition
 from .cyclepoly import CharPolynomial, X, eval_rho_all, falling_factorial
 from .errors import BudgetError, ParseError
-from .frobenius import decompose_poly, frobenius_poly_of_socles
+from .frobenius import frobenius_poly_of_socles, socle_steps
 from .partitions import Partition, format_partition, parse_partition
-from .pieri import _socles_at
+from .pieri import induced_steps, sum_steps
 
 DEFAULT_BUDGET = 14
 
@@ -149,16 +150,6 @@ def character_at(spec, m, budget=DEFAULT_BUDGET):
     return _character(spec, m)
 
 
-def dimension_at(spec, m, budget=DEFAULT_BUDGET):
-    """Dimension at degree m: the character value on the identity class."""
-    from .partitions import CycleType
-
-    val = character_at(spec, m, budget)(CycleType.identity(m))
-    if val.denominator != 1 or val < 0:
-        raise ValueError(f"dimension at degree {m} is {val}, not a nonnegative integer")
-    return int(val)
-
-
 def check_budget(m, budget):
     """Reject a negative degree (ValueError) or one past the budget (BudgetError)."""
     if m < 0:
@@ -175,7 +166,7 @@ def _socles(spec, m):
     dropped; shared by every caller, so never changed in place."""
     match spec:
         case Projective(base=w):
-            return {} if m < w.m else _socles_at(w.items(), m)
+            return {} if m < w.m else sum_steps(induced_steps(w.items()), m)
         case VFamily(lam=lam, convention=conv):
             if conv == "socle":
                 return {} if m < lam.size else {lam.socle(): 1}
@@ -213,15 +204,19 @@ def _factor_poly(spec, m):
 
 def _module_socles(poly, m):
     """The socle multiplicities at degree m of a polynomial that evaluates
-    to a character there; ValueError when an entry of decompose_poly is
-    negative or not an integer."""
+    to a character there, summed in integers off its step list; ValueError
+    when one is negative or not an integer (see frobenius.decompose_poly)."""
+    steps, den = socle_steps(poly, min(m, poly.weighted_degree()))
     socles = {}
-    for s, n in decompose_poly(poly, m).items():
-        if n.denominator != 1:
+    for s, total in sum_steps(steps, m).items():
+        n, rem = divmod(total, den)
+        if rem:
+            n = Fraction(total, den)
             raise ValueError(f"non-integral multiplicity {n} for {s.pad(m)}")
         if n < 0:
             raise ValueError(f"negative multiplicity {n} for {s.pad(m)}")
-        socles[s] = n.numerator
+        if n:
+            socles[s] = n
     return socles
 
 
@@ -291,32 +286,6 @@ def cycle_module_char(nu, m):
     if not nu:
         raise ValueError("cycle module needs a nonempty partition")
     return eval_rho_all(cycle_poly_product(nu), m)
-
-
-def express_X_in_E(n):
-    """Invert the triangular system expressing cycle counts.
-
-    Returns [Q_1, ..., Q_n]: Q_l is a polynomial of weight l whose
-    variables stand for the cycle polynomials E_1..E_l, such that
-    substituting E_i for the i-th variable recovers X_l identically.
-    """
-    qs = []
-    for ell in range(1, n + 1):
-        expr = X(ell)
-        for d, e, coef in _divisor_terms(ell):
-            expr = expr - coef * falling_factorial(qs[d - 1], e)
-        qs.append(expr / _totient(ell))
-    return qs
-
-
-# -- weights ------------------------------------------------------------------
-
-
-def weight_truncate(dec, p):
-    """Split a decomposition by factor weight: (weight > p, weight <= p)."""
-    gt = {lam: n for lam, n in dec.items() if lam.weight() > p}
-    le = {lam: n for lam, n in dec.items() if lam.weight() <= p}
-    return IrrDecomposition(dec.m, gt), IrrDecomposition(dec.m, le)
 
 
 # -- the expression language ---------------------------------------------------

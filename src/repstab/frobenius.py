@@ -207,12 +207,12 @@ def decompose_poly(poly, m):
     character at m, any rationals otherwise.  Only classes of degree at
     most min(m, weight(poly)) are used.
     """
-    steps, den = _socle_steps(poly, min(m, poly.weighted_degree()))
+    steps, den = socle_steps(poly, min(m, poly.weighted_degree()))
     return {s: Fraction(n, den) for s, n in sum_steps(steps, m).items() if n}
 
 
 @lru_cache(maxsize=1024)
-def _socle_steps(poly, top):
+def socle_steps(poly, top):
     """The entries (s, |s| + mu_1, num[mu]) over the mu with |mu| <= top
     and the s with mu/s a horizontal strip, sorted by their start
     |s| + mu_1, and den: the multiplicity of s[m] in poly at m is the sum

@@ -102,15 +102,6 @@ class Partition:
             return self
         return Partition.from_parts((row,) + self.parts)
 
-    def double_first(self):
-        """Duplicate the first row: (l1, l2, ...) -> (l1, l1, l2, ...).
-
-        The result has this partition as its socle.  Empty stays empty.
-        """
-        if not self.parts:
-            return self
-        return Partition((self.parts[0],) + self.parts)
-
 
 def parse_partition(text):
     """Parse comma-separated parts, e.g. '3,2,2'; '-' is the empty partition.

@@ -12,9 +12,10 @@ involves m, so an induced family is a step function of m.  Its step list
 holds one entry (s, |s| + nu_1, multiplicity of nu) for each factor nu of
 the base and each s with nu/s a horizontal strip, sorted by the start
 |s| + nu_1; the factors at degree m are the s[m] of the entries that start
-at or below m.  The list is built once per base (horizontal_strip_steps),
-and the socles stop changing once m reaches the last start, |nu| + nu_1
-for the widest nu.
+at or below m.  horizontal_strip_steps lists the entries, induced_steps
+caches the list once per base, and sum_steps reads the socle
+multiplicities at any degree off it.  They stop changing once m reaches
+the last start, |nu| + nu_1 for the widest nu.
 """
 
 from functools import lru_cache
@@ -45,7 +46,7 @@ def horizontal_strip_steps(weights):
 
 
 @lru_cache(maxsize=1024)
-def _induced_steps(base):
+def induced_steps(base):
     """horizontal_strip_steps of the (partition, multiplicity) pairs base."""
     return horizontal_strip_steps(dict(base))
 
@@ -61,11 +62,6 @@ def sum_steps(steps, m):
     return acc
 
 
-def _socles_at(base, m):
-    """{s: multiplicity of s[m]} at degree m of the family induced from base."""
-    return sum_steps(_induced_steps(base), m)
-
-
 def pieri_expand(nu, m):
     """Set of partitions of m obtained from nu by adding a horizontal strip.
 
@@ -73,7 +69,7 @@ def pieri_expand(nu, m):
     """
     if m < nu.size:
         raise ValueError(f"cannot expand a partition of {nu.size} to smaller m={m}")
-    return {s.pad(m) for s in _socles_at(((nu, 1),), m)}
+    return {s.pad(m) for s in sum_steps(induced_steps(((nu, 1),)), m)}
 
 
 def projective_terms(w, m):
@@ -85,20 +81,5 @@ def projective_terms(w, m):
     """
     if m < w.m:
         return IrrDecomposition(m)
-    socles = _socles_at(w.items(), m)
+    socles = sum_steps(induced_steps(w.items()), m)
     return IrrDecomposition(m, {s.pad(m): n for s, n in socles.items()})
-
-
-def stable_socle_set(nu):
-    """The socles appearing in every expansion of nu at and past |nu| + nu_1."""
-    if not nu:
-        raise ValueError("stable socle set needs a nonempty partition")
-    m0 = nu.size + nu.parts[0]
-    return {mu.socle() for mu in pieri_expand(nu, m0)}
-
-
-def rank_rs_projective(lam):
-    """Degree at which the induced family of the irreducible lam stabilizes."""
-    if not lam:
-        raise ValueError("needs a nonempty partition")
-    return lam.size + lam.parts[0]

@@ -7,37 +7,23 @@ degree past which they stop changing (and the occurring socles are
 admissible for that degree); rank_pc_estimate finds the degree past
 which one fixed polynomial P in the cycle-count variables evaluates to
 the family's characters.  It compares multiplicities, not values: the
-step list of P (frobenius._socle_steps), built once per scan from
+step list of P (frobenius.socle_steps), built once per scan from
 classes of degree at most the weight of P, gives P's multiplicities at
 every degree in integers over one denominator, so neither estimator
 touches the conjugacy classes of the degrees it scans.  Both are
 certified only on the scanned window [0, m_max]: the estimators verify,
-they do not prove.
-
-The remaining operations exercise the structural facts relating the two
-ranks: the evaluation map from weight-bounded polynomials to class
-functions (image dimension and kernel triviality), minimality of the
-module weight among representing-polynomial weights, stability of
-trivial-isotypic multiplicities, the two-sided rank inequality, and
-weight additivity of tensor products.
+they do not prove.  verify_equivalence runs both and checks the bounds
+relating the two ranks; tensor_weight and tensor_weight_bound_holds
+serve the tensorweight command.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .characters import decompose, inner_product, irr_character, trivial_character
-from .cyclepoly import CharPolynomial, eval_rho, eval_rho_all, format_poly
-from .fbmodules import (
-    DEFAULT_BUDGET,
-    DirectSum,
-    VFamily,
-    check_budget,
-    format_spec,
-    socles_at,
-    terms_at,
-)
-from .frobenius import _socle_steps, frobenius_poly_of_module, frobenius_poly_of_socles
-from .partitions import cycle_types_of, format_partition, partitions_of
+from .characters import decompose, irr_character
+from .cyclepoly import CharPolynomial, format_poly
+from .fbmodules import DEFAULT_BUDGET, check_budget, format_spec, socles_at
+from .frobenius import frobenius_poly_of_socles, socle_steps
+from .partitions import format_partition
 from .pieri import sum_steps
 
 
@@ -109,7 +95,7 @@ def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     candidate already fails at m_max - 1.
 
     Two class functions of one degree are equal exactly when their
-    decompositions are.  The step list of P (frobenius._socle_steps) is
+    decompositions are.  The step list of P (frobenius.socle_steps) is
     read once: at each degree k its integer sums over the entries that
     start at or below k are the multiplicities of P at k times den, and
     are compared with the family's socle multiplicities times den.  An
@@ -119,7 +105,7 @@ def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     """
     check_budget(m_max, budget)
     poly = frobenius_poly_of_socles(socles_at(spec, m_max, budget))
-    steps, den = _socle_steps(poly, min(m_max, poly.weighted_degree()))
+    steps, den = socle_steps(poly, min(m_max, poly.weighted_degree()))
 
     def agrees(k):
         sums = {s: n for s, n in sum_steps(steps, k).items() if n}
@@ -139,102 +125,6 @@ def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
             )
         return None
     return n, poly
-
-
-def uniqueness_check(p, q, n, m_max):
-    """Decide whether two candidate polynomials agree, by evaluation.
-
-    Returns 'distinct' when some degree in [n, m_max] separates them,
-    'equal' when they vanish jointly on the window and the kernel guard
-    (both weights <= m_max / 2) makes that conclusive, and 'inconclusive'
-    when the guard fails.
-    """
-    degw = max(p.weighted_degree(), q.weighted_degree())
-    if 2 * degw > m_max or n > m_max:
-        return "inconclusive"
-    for m in range(n, m_max + 1):
-        if not eval_rho_all(p - q, m).is_zero():
-            return "distinct"
-    # joint vanishing at m_max with weight <= m_max/2 forces equality
-    if p != q:
-        raise RuntimeError("distinct polynomials of weight <= m_max/2 vanish jointly")
-    return "equal"
-
-
-def weight_bounded_monomials(d):
-    """The monomial basis of polynomials of weight <= d: one monomial
-    X_1^{n_1} ... X_d^{n_d} per partition of size <= d."""
-    return [
-        CharPolynomial({t.items(): 1}) for j in range(d + 1) for t in cycle_types_of(j)
-    ]
-
-
-def matrix_rank(rows):
-    """Rank of a rational matrix by exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def rho_image_kernel(m, d):
-    """Dimensions of the image and kernel of evaluation restricted to
-    polynomials of weight <= d, on the classes of degree m."""
-    monos = weight_bounded_monomials(d)
-    types = cycle_types_of(m)
-    rows = [[eval_rho(mono, t) for t in types] for mono in monos]
-    image = matrix_rank(rows)
-    return image, len(monos) - image
-
-
-def low_weight_class_function_count(m, d):
-    """Number of partitions of m of weight <= d: the dimension the image
-    of the weight-restricted evaluation must hit."""
-    return sum(1 for lam in partitions_of(m) if lam.weight() <= d)
-
-
-def minimal_weight_check(dec, poly):
-    """Check that a representing polynomial weighs at least the module, and
-    that the module's own polynomial achieves the weight exactly.
-
-    Raises when poly does not actually represent the character of dec.
-    """
-    if eval_rho_all(poly, dec.m) != dec.character():
-        raise ValueError("polynomial does not represent the module character")
-    if dec.is_zero():
-        return True
-    w = dec.module_weight()
-    return (
-        poly.weighted_degree() >= w
-        and frobenius_poly_of_module(dec).weighted_degree() == w
-    )
-
-
-def scalar_stability_check(poly, m_range):
-    """Trivial-isotypic multiplicities <1 | evaluation of poly> must be
-    constant from the weight of poly on."""
-    degw = poly.weighted_degree()
-    tail = [
-        inner_product(trivial_character(m), eval_rho_all(poly, m))
-        for m in sorted(m_range)
-        if m >= degw
-    ]
-    return len(set(tail)) <= 1
 
 
 def verify_equivalence(spec, m_max, budget=DEFAULT_BUDGET):
@@ -277,30 +167,6 @@ def verify_equivalence(spec, m_max, budget=DEFAULT_BUDGET):
     return report
 
 
-def reconstruct_stable_family(spec, m_max, budget=DEFAULT_BUDGET):
-    """Rebuild the family as a direct sum of single-irreducible families.
-
-    Anchors at M = max(2 * weight, rank_pc): each factor of the degree-M
-    decomposition contributes one family labelled by its socle with the
-    first part doubled, so that the rebuilt family reproduces the factor at
-    every admissible degree.  Returns None when the family is not
-    polynomially stable in the window or M exceeds it.
-    """
-    pc = rank_pc_estimate(spec, m_max, budget)
-    if pc is None:
-        return None
-    n, poly = pc
-    d = 0 if poly.is_zero() else poly.weighted_degree()
-    anchor = max(2 * d, n)
-    if anchor > m_max:
-        return None
-    children = []
-    for mu, mult in terms_at(spec, anchor, budget).items():
-        lam = mu.socle()
-        children.extend([VFamily(lam.double_first())] * mult)
-    return DirectSum(tuple(children))
-
-
 def tensor_weight(lam, mu, m):
     """Weight of the tensor product of the irreducibles lam.pad(m) and mu.pad(m).
 
@@ -315,8 +181,3 @@ def tensor_weight_bound_holds(w, bound, m):
     of bound = |lam| + |mu| boxes never exceeds bound, and equals it once
     m >= 2 * bound."""
     return w <= bound and (m < 2 * bound or w == bound)
-
-
-def tensor_weight_check(lam, mu, m):
-    """Whether the tensor_weight of lam and mu at m meets tensor_weight_bound_holds."""
-    return tensor_weight_bound_holds(tensor_weight(lam, mu, m), lam.size + mu.size, m)

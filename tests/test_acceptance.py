@@ -24,7 +24,6 @@ from repstab.fbmodules import (
     Tensor,
     VFamily,
     cycle_poly,
-    express_X_in_E,
 )
 from repstab.frobenius import frobenius_poly, frobenius_poly_stable
 from repstab.partitions import (
@@ -36,15 +35,20 @@ from repstab.partitions import (
 )
 from repstab.pieri import pieri_expand, projective_terms
 from repstab.stability import (
-    low_weight_class_function_count,
     rank_pc_estimate,
     rank_rs_estimate,
-    rho_image_kernel,
-    tensor_weight_check,
+    tensor_weight,
+    tensor_weight_bound_holds,
     verify_equivalence,
 )
 
 from bruteforce import commuting_cycle_count, induce_bruteforce, representative
+from lemmas import (
+    express_X_in_E,
+    low_weight_class_function_count,
+    rho_image_kernel,
+    substitute,
+)
 
 
 def criterion(number, title):
@@ -240,7 +244,8 @@ def test_criterion_8_tensor_weights():
                 1,
             )
             for m in range(start, 11):
-                assert tensor_weight_check(lam, mu, m), (lam, mu, m)
+                w = tensor_weight(lam, mu, m)
+                assert tensor_weight_bound_holds(w, total, m), (lam, mu, m)
                 if m >= 2 * total:
                     product = irr_character(lam.pad(m)) * irr_character(mu.pad(m))
                     assert decompose(product).module_weight() == total, (lam, mu, m)
@@ -252,7 +257,7 @@ def test_criterion_9_basis_change():
     subs = {i: cycle_poly(i) for i in range(1, 7)}
     for ell, q in enumerate(qs, start=1):
         assert q.weighted_degree() == ell
-        assert q.substitute(subs) == X(ell), ell
+        assert substitute(q, subs) == X(ell), ell
 
 
 @criterion(10, "command-line interface")

@@ -6,7 +6,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repstab import _mnpure, characters
+import repstab
+from repstab import _mnpure
 from repstab.characters import (
     ClassFunction,
     IrrDecomposition,
@@ -169,7 +170,7 @@ def test_decompose_roundtrip(m, data):
 
 def test_decompose_stops_after_the_last_factor(monkeypatch):
     f = character_at(parse_spec("(cycle 2 1)"), 17, budget=17)
-    characters.clear_caches()
+    repstab.clear_caches()
     rows = []
     char_row = _mnpure.char_row
 

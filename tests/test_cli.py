@@ -111,6 +111,13 @@ def test_usage_and_parse_errors_exit_1(capsys):
     assert run(["decompose", "--m", "2", "--values=1"]) == 1
     assert run(["decompose", "--m", "2", "--values=1/2,1/2"]) == 1  # not a character
     assert run(["rankscan", "--spec", "(cycle 1)", "--mmax", "-1"]) == 1
+    # a negative budget is rejected with the options, before any degree
+    capsys.readouterr()
+    assert run(["rankscan", "--budget", "-1", "--spec", "(vfam 1)", "--mmax", "0"]) == 1
+    assert "--budget: invalid nonnegative int value: '-1'" in capsys.readouterr().err
+    assert run(["frobpoly", "socle:1,1", "--budget", "-1"]) == 1
+    assert run(["frobpoly", "socle:1,1", "--budget", "x"]) == 1
+    assert run(["rankscan", "--budget", "0", "--spec", "(vfam 1)", "--mmax", "0"]) == 0
 
 
 def test_parser_is_built_once_and_reused(capsys, monkeypatch):

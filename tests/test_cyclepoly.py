@@ -9,16 +9,16 @@ from repstab.cyclepoly import (
     CharPolynomial,
     X,
     binomial_poly,
-    class_indicator,
     eval_rho,
     eval_rho_all,
     falling_factorial,
     format_poly,
-    kernel_relations,
     parse_poly,
 )
 from repstab.errors import ParseError
 from repstab.partitions import CycleType, cycle_types_of
+
+from lemmas import class_indicator, kernel_relations
 
 
 def random_poly(rng, max_var=4, max_terms=4):

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from repstab.characters import ClassFunction, IrrDecomposition, decompose, irr_character
-from repstab.cyclepoly import X, eval_rho
+from repstab.characters import IrrDecomposition, decompose, irr_character
+from repstab.cyclepoly import X, eval_rho, parse_poly
 from repstab.errors import BudgetError, ParseError
 from repstab.fbmodules import (
     CycleModule,
@@ -17,16 +17,14 @@ from repstab.fbmodules import (
     character_at,
     cycle_module_char,
     cycle_poly,
-    dimension_at,
-    express_X_in_E,
     format_spec,
     parse_spec,
     terms_at,
-    weight_truncate,
 )
 from repstab.partitions import CycleType, Partition, cycle_types_of
 
 from bruteforce import commuting_cycle_count, representative
+from lemmas import express_X_in_E, substitute
 
 
 def P(*parts):
@@ -92,7 +90,7 @@ def test_express_X_in_E_roundtrip():
     subs = {i: cycle_poly(i) for i in range(1, 7)}
     for ell, q in enumerate(qs, start=1):
         assert q.weighted_degree() == ell
-        assert q.substitute(subs) == X(ell), ell
+        assert substitute(q, subs) == X(ell), ell
 
 
 def test_terms_at_vfamily_conventions():
@@ -119,17 +117,25 @@ def test_character_at_vfamily_conventions():
 def test_terms_at_cycle_module():
     d = terms_at(CycleModule(P(2)), 4)
     assert d == IrrDecomposition(4, {P(4): 1, P(3, 1): 1, P(2, 2): 1})
-    assert d.dimension() == 6
-    assert dimension_at(CycleModule(P(2)), 4) == 6
+    assert d.dimension() == character_at(CycleModule(P(2)), 4)(CycleType.identity(4)) == 6
 
 
-def test_dimension_rejects_non_module_character(monkeypatch):
-    import repstab.fbmodules as fbmodules
+@pytest.mark.parametrize(
+    "poly, m, message",
+    [
+        ("1/3*X2", 4, "non-integral multiplicity 1/6 for 4"),
+        ("X1 - 2", 1, "negative multiplicity -1 for 1"),
+    ],
+)
+def test_module_socles_reject_a_non_character(poly, m, message):
+    # the socles of a cycle module or a tensor product are read in integers
+    # off a polynomial's step list; a polynomial that takes no character at
+    # m has a non-integral or a negative multiplicity there
+    from repstab.fbmodules import _module_socles
 
-    negative = lambda spec, m, budget: ClassFunction(m, {CycleType.identity(m): -1})
-    monkeypatch.setattr(fbmodules, "character_at", negative)
-    with pytest.raises(ValueError):
-        dimension_at(CycleModule(P(2)), 4)
+    with pytest.raises(ValueError) as info:
+        _module_socles(parse_poly(poly), m)
+    assert str(info.value) == message
 
 
 def test_terms_at_projective_and_sum():
@@ -162,13 +168,18 @@ def test_truncations():
 
 
 def test_weight_truncate():
+    # a decomposition d of degree n is the induced family of d at degree n
     d = IrrDecomposition(8, {P(4, 2, 2): 1, P(3, 3, 2): 1})
     assert d.module_weight() == 5
-    gt, le = weight_truncate(d, 4)
-    assert le == IrrDecomposition(8, {P(4, 2, 2): 1})
-    assert gt == IrrDecomposition(8, {P(3, 3, 2): 1})
-    gt2, le2 = weight_truncate(d, 99)
-    assert gt2.is_zero() and le2 == d
+    assert terms_at(Projective(d), 8) == d
+    assert terms_at(WeightTruncateLE(Projective(d), 4), 8) == IrrDecomposition(
+        8, {P(4, 2, 2): 1}
+    )
+    assert terms_at(WeightTruncateGT(Projective(d), 4), 8) == IrrDecomposition(
+        8, {P(3, 3, 2): 1}
+    )
+    assert terms_at(WeightTruncateGT(Projective(d), 99), 8).is_zero()
+    assert terms_at(WeightTruncateLE(Projective(d), 99), 8) == d
     assert IrrDecomposition(5).module_weight() == 0
 
 
@@ -176,8 +187,7 @@ def test_weight_truncate_recovers_vfamily():
     # the single lowest-weight factor of the induced family is the V-family term
     lam = P(2, 1)
     w = IrrDecomposition(3, {lam: 1})
-    expansion = terms_at(Projective(w), 5)
-    _, le = weight_truncate(expansion, lam.weight())
+    le = terms_at(WeightTruncateLE(Projective(w), lam.weight()), 5)
     assert le == IrrDecomposition(5, {P(4, 1): 1})
     assert le == terms_at(VFamily(lam), 5)
 

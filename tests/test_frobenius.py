@@ -1,9 +1,12 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 from itertools import zip_longest
 
 from hypothesis import given, settings, strategies as st
 
-from repstab import fbmodules, frobenius, pieri
+import repstab
+from repstab import frobenius
 from repstab.characters import IrrDecomposition, inner_product, irr_char, irr_character
 from repstab.cyclepoly import (
     CharPolynomial,
@@ -13,6 +16,7 @@ from repstab.cyclepoly import (
     eval_rho_all,
     falling_factorial,
 )
+from repstab.fbmodules import parse_spec
 from repstab.frobenius import (
     binomial_coefficients,
     decompose_poly,
@@ -22,6 +26,7 @@ from repstab.frobenius import (
     frobenius_poly_stable,
 )
 from repstab.partitions import Partition, classes, cycle_types_of, partitions_of
+from repstab.stability import verify_equivalence
 
 from bruteforce import mn_beta_set
 
@@ -105,20 +110,42 @@ def test_stable_polys_match_beta_set_reference():
                 assert value.num == expected, (soc, n)
 
 
+def library_caches():
+    """{qualified name: function} for every lru_cache defined at the top
+    level of a repstab module, found by importing each module."""
+    caches = {}
+    for info in pkgutil.iter_modules(repstab.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"repstab.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                caches[f"{module.__name__}.{name}"] = value
+    return caches
+
+
 def test_caches_are_bounded():
-    for cached in (
-        frobenius.frobenius_poly_stable,
-        frobenius._binomial_basis,
-        frobenius._falling_coefficients,
-        frobenius._power_coefficients,
-        frobenius._socle_steps,
-        frobenius._module_poly,
-        pieri._induced_steps,
-        fbmodules._socles,
-        fbmodules._character,
-        fbmodules.cycle_poly_product,
-    ):
-        assert cached.cache_info().maxsize is not None, cached
+    caches = library_caches()
+    assert "repstab._mnpure._row" in caches and "repstab.fbmodules._socles" in caches
+    for name, cached in caches.items():
+        assert cached.cache_info().maxsize is not None, name
+
+
+def test_clear_caches_empties_every_cache():
+    repstab.clear_caches()
+    for text, m_max in [
+        ('(proj 5 "3,2" "2,2,1" "3,1,1")', 28),
+        ("(tensor (vfam 2,1) (vfam 1))", 17),
+    ]:
+        verify_equivalence(parse_spec(text), m_max, budget=m_max)
+    caches = library_caches()
+
+    def sizes():
+        return {name: c.cache_info().currsize for name, c in caches.items()}
+
+    assert sum(sizes().values()) > 0
+    repstab.clear_caches()
+    assert {name: n for name, n in sizes().items() if n} == {}
 
 
 def test_binomial_basis_against_ring_arithmetic():

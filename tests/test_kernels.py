@@ -2,8 +2,8 @@
 
 import pytest
 
-from repstab import _mnpure
-from repstab import characters
+import repstab
+from repstab import _mnpure, characters
 from repstab.partitions import classes, cycle_types_of, partitions_of
 
 from bruteforce import mn_beta_set
@@ -53,18 +53,18 @@ def cache_sizes():
 
 
 def test_cache_management():
-    characters.clear_caches()
+    repstab.clear_caches()
     assert cache_sizes() == (0, 0)
     _mnpure.char_value((3, 2), (2, 2, 1))
     characters.character_table(4)
     cycle_types_of(6)
     assert all(size > 0 for size in cache_sizes())
-    characters.clear_caches()
+    repstab.clear_caches()
     assert cache_sizes() == (0, 0)
 
 
 def test_kernel_cache_is_bounded():
-    characters.clear_caches()
+    repstab.clear_caches()
     characters.character_table(20)
     assert 0 < _mnpure.cache_size() <= _mnpure.ROW_CACHE_ROWS
 
@@ -72,6 +72,6 @@ def test_kernel_cache_is_bounded():
 def test_kernel_keeps_one_row_per_shape():
     # normalised masks give each shape one key, so the table of degree 10
     # leaves exactly one row for every shape of degree <= 10
-    characters.clear_caches()
+    repstab.clear_caches()
     characters.character_table(10)
     assert _mnpure.cache_size() == sum(len(partitions_of(j)) for j in range(11))

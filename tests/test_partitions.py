@@ -17,6 +17,7 @@ from repstab.partitions import (
 )
 
 from bruteforce import class_sizes_by_enumeration, partition_count
+from lemmas import double_first
 
 
 partitions_st = st.lists(st.integers(1, 9), max_size=6).map(
@@ -45,10 +46,10 @@ def test_pad_examples():
 
 
 def test_double_first():
-    assert Partition([3, 1]).double_first() == Partition([3, 3, 1])
-    assert Partition().double_first() == Partition()
+    assert double_first(Partition([3, 1])) == Partition([3, 3, 1])
+    assert double_first(Partition()) == Partition()
     lam = Partition([2, 2, 1])
-    assert lam.double_first().socle() == lam
+    assert double_first(lam).socle() == lam
 
 
 @given(partitions_st, st.integers(0, 40))

@@ -4,14 +4,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repstab.characters import IrrDecomposition, decompose, irr_character
-from repstab.fbmodules import parse_spec
+from repstab.fbmodules import Projective, parse_spec
 from repstab.partitions import Partition, partitions_of
-from repstab.pieri import (
-    pieri_expand,
-    projective_terms,
-    rank_rs_projective,
-    stable_socle_set,
-)
+from repstab.pieri import pieri_expand, projective_terms
+from repstab.stability import rank_rs_estimate
 
 from bruteforce import induce_bruteforce, pieri_expand_recursive
 
@@ -87,20 +83,24 @@ def test_weight_bounds_and_equality_cases():
                     )
 
 
+def stable_socles(nu):
+    """The socles of the expansion of nu at |nu| + nu_1."""
+    return {mu.socle() for mu in pieri_expand(nu, nu.size + nu[0])}
+
+
 def test_stable_socle_set_examples():
-    assert stable_socle_set(P(1)) == {Partition(), P(1)}
-    assert P(3) in stable_socle_set(P(3))
-    assert Partition() in stable_socle_set(P(3))
-    assert stable_socle_set(P(2, 1)) == {
-        mu.socle() for mu in pieri_expand(P(2, 1), 5)
-    }
+    assert stable_socles(P(1)) == {Partition(), P(1)}
+    assert P(3) in stable_socles(P(3))
+    assert Partition() in stable_socles(P(3))
+    # the s with 2 >= s_1 >= 1 >= s_2
+    assert stable_socles(P(2, 1)) == {P(1), P(2), P(1, 1), P(2, 1)}
 
 
 def test_socle_sets_stabilize_at_m0():
     for n in range(1, 6):
         for nu in partitions_of(n):
             m0 = nu.size + nu[0]
-            stable = stable_socle_set(nu)
+            stable = stable_socles(nu)
             for m in range(m0, m0 + 4):
                 assert {mu.socle() for mu in pieri_expand(nu, m)} == stable
             # the padding of nu itself enters exactly at m0, with equal first rows
@@ -170,7 +170,8 @@ def test_projective_terms_agree_with_table_route(spec):
 
 
 def test_rank_rs_projective():
-    assert rank_rs_projective(P(1)) == 2
-    assert rank_rs_projective(P(3, 2, 2)) == 10
-    for k in range(1, 6):
-        assert rank_rs_projective(P(k)) == 2 * k
+    # the family induced from the irreducible lam stabilizes at |lam| + lam_1
+    cases = [(P(1), 2), (P(3, 2, 2), 10)] + [(P(k), 2 * k) for k in range(1, 6)]
+    for lam, rank in cases:
+        spec = Projective(IrrDecomposition(lam.size, {lam: 1}))
+        assert rank_rs_estimate(spec, 12)[0] == rank, lam

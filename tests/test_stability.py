@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repstab
 from repstab import frobenius
 from repstab.characters import IrrDecomposition, decompose, inner_product, irr_character
 from repstab.cyclepoly import CharPolynomial, X, eval_rho_all
@@ -27,17 +28,22 @@ from repstab.fbmodules import (
 )
 from repstab.partitions import Partition, partitions_of
 from repstab.stability import (
+    rank_pc_estimate,
+    rank_rs_estimate,
+    tensor_weight,
+    tensor_weight_bound_holds,
+    verify_equivalence,
+)
+
+import lemmas
+from lemmas import (
     low_weight_class_function_count,
     matrix_rank,
     minimal_weight_check,
-    rank_pc_estimate,
-    rank_rs_estimate,
     reconstruct_stable_family,
     rho_image_kernel,
     scalar_stability_check,
-    tensor_weight_check,
     uniqueness_check,
-    verify_equivalence,
 )
 
 
@@ -119,7 +125,7 @@ def test_contradictions_raise(monkeypatch):
     with pytest.raises(RuntimeError):
         rank_pc_estimate(CycleModule(P(1)), 4)
     zero = eval_rho_all(CharPolynomial.zero(), 6)
-    monkeypatch.setattr(stability, "eval_rho_all", lambda poly, m: zero)
+    monkeypatch.setattr(lemmas, "eval_rho_all", lambda poly, m: zero)
     with pytest.raises(RuntimeError):
         uniqueness_check(X(1), X(2), 0, 6)
 
@@ -241,22 +247,8 @@ def test_negative_m_max_rejected(estimator):
         estimator(CycleModule(P(1)), -1)
 
 
-def _clear_caches():
-    from repstab import characters, fbmodules, frobenius, pieri
-
-    characters.clear_caches()
-    frobenius.frobenius_poly_stable.cache_clear()
-    frobenius._binomial_basis.cache_clear()
-    frobenius._socle_steps.cache_clear()
-    frobenius._module_poly.cache_clear()
-    pieri._induced_steps.cache_clear()
-    fbmodules._socles.cache_clear()
-    fbmodules._character.cache_clear()
-    fbmodules.cycle_poly_product.cache_clear()
-
-
 def _cold_scan(text, m_max):
-    _clear_caches()
+    repstab.clear_caches()
     report = verify_equivalence(parse_spec(text), m_max, budget=m_max)
     assert report.all_bounds_hold()
     return report
@@ -270,7 +262,7 @@ def test_cold_scan_builds_no_irr_decomposition(monkeypatch, text, m_max):
     # a scan works on socle multiplicities throughout; a decomposition is
     # built only at the API edge (terms_at), which a scan never reaches
     spec = parse_spec(text)  # a proj base is itself a decomposition
-    _clear_caches()
+    repstab.clear_caches()
     built = []
     init = IrrDecomposition.__init__
 
@@ -324,7 +316,7 @@ def test_cold_pieri_scan_builds_its_step_list_once():
     from repstab import pieri
 
     _cold_scan('(proj 5 "3,2" "2,2,1" "3,1,1")', 28)
-    info = pieri._induced_steps.cache_info()
+    info = pieri.induced_steps.cache_info()
     assert (info.misses, info.hits) == (1, 23)
 
 
@@ -390,12 +382,12 @@ def test_reconstruction_matches_original():
 
 
 def test_tensor_weight_check_examples():
-    assert tensor_weight_check(P(1), P(1), 5)
-    assert tensor_weight_check(P(1), Partition(), 6)
+    assert tensor_weight_bound_holds(tensor_weight(P(1), P(1), 5), 2, 5)
+    assert tensor_weight_bound_holds(tensor_weight(P(1), Partition(), 6), 1, 6)
     # below the doubling threshold only the inequality is asserted
-    assert tensor_weight_check(P(1), P(1), 3)
+    assert tensor_weight_bound_holds(tensor_weight(P(1), P(1), 3), 2, 3)
     with pytest.raises(ValueError):
-        tensor_weight_check(P(2, 1), P(1), 4)
+        tensor_weight(P(2, 1), P(1), 4)
 
 
 def test_tensor_square_weight_frozen():
@@ -421,7 +413,8 @@ def test_tensor_weight_additivity_small():
         total = lam.size + mu.size
         start = max(lam.size + lam[0], mu.size + mu[0])
         for m in range(start, 10):
-            assert tensor_weight_check(lam, mu, m), (lam, mu, m)
+            w = tensor_weight(lam, mu, m)
+            assert tensor_weight_bound_holds(w, total, m), (lam, mu, m)
 
 
 def test_fb_level_tensor_weight_additivity():
@@ -503,7 +496,7 @@ def last_net_step(poly, upto=None):
     of the entries for s that start there, and from N_P on the socle
     multiplicities of poly are constant.
     """
-    steps, _ = frobenius._socle_steps(poly, poly.weighted_degree())
+    steps, _ = frobenius.socle_steps(poly, poly.weighted_degree())
     net = {}
     for s, start, f in steps:
         if upto is None or start <= upto:
