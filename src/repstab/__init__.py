@@ -27,7 +27,7 @@ from .fbmodules import (
     terms_at,
 )
 from .frobenius import frobenius_poly, frobenius_poly_of_module, frobenius_poly_stable
-from .partitions import CycleType, Partition, class_size, cycle_types_of, partitions_of
+from .partitions import Partition, class_size, cycle_types_of, partitions_of
 from .pieri import pieri_expand, projective_terms
 from .stability import (
     StabilityReport,
@@ -40,7 +40,6 @@ __all__ = [
     "CharPolynomial",
     "ClassFunction",
     "CycleModule",
-    "CycleType",
     "DirectSum",
     "IrrDecomposition",
     "Partition",

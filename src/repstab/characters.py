@@ -1,23 +1,18 @@
 """Class functions of symmetric groups: irreducible characters, inner
 products, and decomposition into irreducibles.
 
-Character values come from the Murnaghan-Nakayama recursion in `_mnpure`.
+A class is its descending cycle tuple (see partitions); a ClassFunction
+holds its values as integers aligned with classes(m).cycles over one
+denominator.  Character values come from the Murnaghan-Nakayama
+recursion in `_mnpure`.
 """
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, mul, sub
 
 from . import _mnpure
-from .partitions import (
-    Partition,
-    classes,
-    cycle_types_of,
-    format_cycle_type,
-    parse_cycle_type,
-    partitions_of,
-)
+from .partitions import Partition, classes, format_cycle_type, partitions_of
 
 
 def kernel_name():
@@ -25,14 +20,16 @@ def kernel_name():
     return "pure"
 
 
-def irr_char(lam, t):
-    """Value of the irreducible character indexed by lam at cycle type t.
+def irr_char(lam, cycles):
+    """Value of the irreducible character indexed by lam at the class with
+    the descending cycle tuple `cycles`.
 
-    Always an integer.  Raises ValueError when |lam| != t.m.
+    Always an integer.  Raises ValueError when `cycles` is not a class of
+    degree |lam|.
     """
-    if lam.size != t.m:
-        raise ValueError(f"degree mismatch: |lambda|={lam.size} but t is a type of {t.m}")
-    return _mnpure.char_value(lam.parts, t.cycles_desc())
+    if cycles not in classes(lam.size).index:
+        raise ValueError(f"{cycles} is not a class of degree {lam.size}")
+    return _mnpure.char_value(lam.parts, cycles)
 
 
 def irr_dimension(lam):
@@ -50,11 +47,11 @@ def irr_row(lam):
 def character_table(m):
     """Full character table of degree m, computed afresh on each call.
 
-    Returns (types, {partition: tuple of integer values aligned with types}),
-    rows and columns both in the partitions_of(m) order.
+    Returns (classes(m).cycles, {partition: tuple of integer values aligned
+    with those classes}), rows and columns both in the partitions_of(m) order.
     """
     table = {lam: irr_row(lam) for lam in partitions_of(m)}
-    return tuple(cycle_types_of(m)), table
+    return classes(m).cycles, table
 
 
 class ClassFunction:
@@ -70,13 +67,14 @@ class ClassFunction:
     __slots__ = ("m", "num", "den")
 
     def __init__(self, m, values):
-        """Build from a mapping {cycle type of m: rational}; absent types are 0."""
+        """Build from a mapping {class of m: rational}, each class a
+        descending cycle tuple; absent classes are 0."""
         index = classes(m).index
         fracs = [0] * len(index)
-        for t, v in values.items():
-            j = index.get(t.cycles_desc())
+        for cycles, v in values.items():
+            j = index.get(cycles)
             if j is None:
-                raise ValueError(f"type {t} does not belong to degree {m}")
+                raise ValueError(f"{cycles} is not a class of degree {m}")
             fracs[j] = Fraction(v)
         den = lcm(*(v.denominator for v in fracs if v))
         self._set(m, [v.numerator * (den // v.denominator) for v in fracs], den)
@@ -106,11 +104,9 @@ class ClassFunction:
 
     @property
     def values(self):
-        """Read-only mapping {cycle type: Fraction} in the canonical order."""
-        return _Values(self)
-
-    def __call__(self, t):
-        return Fraction(self.num[classes(self.m).index[t.cycles_desc()]], self.den)
+        """A fresh dict {class: Fraction} in the canonical class order."""
+        den = self.den
+        return {c: Fraction(n, den) for c, n in zip(classes(self.m).cycles, self.num)}
 
     def __eq__(self, other):
         return (
@@ -167,48 +163,18 @@ class ClassFunction:
         return {
             "m": self.m,
             "values": [
-                {"type": format_cycle_type(t), "value": str(v)}
-                for t, v in self.values.items()
+                {"type": format_cycle_type(c), "value": str(v)}
+                for c, v in self.values.items()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        values = {
-            parse_cycle_type(entry["type"]): Fraction(entry["value"])
-            for entry in data["values"]
-        }
-        return cls(int(data["m"]), values)
 
     def __repr__(self):
         return f"ClassFunction(m={self.m})"
 
 
-class _Values(Mapping):
-    """The values of a ClassFunction as {cycle type: Fraction}, built on access."""
-
-    __slots__ = ("_f",)
-
-    def __init__(self, f):
-        self._f = f
-
-    def __getitem__(self, t):
-        return self._f(t)
-
-    def __iter__(self):
-        return iter(cycle_types_of(self._f.m))
-
-    def __len__(self):
-        return len(self._f.num)
-
-
 def irr_character(lam):
     """The irreducible character indexed by lam, as a ClassFunction."""
     return ClassFunction.from_ints(lam.size, irr_row(lam))
-
-
-def trivial_character(m):
-    return ClassFunction.from_ints(m, (1,) * len(classes(m).cycles))
 
 
 class IrrDecomposition:
@@ -242,9 +208,6 @@ class IrrDecomposition:
             if mu == lam:
                 return n
         return 0
-
-    def support(self):
-        return tuple(lam for lam, _ in self._items)
 
     def is_zero(self):
         return not self._items

@@ -1,8 +1,8 @@
 """Sparse polynomials in the cycle-count variables X_1, X_2, ... over Q.
 
 The ring carries two gradings: the plain degree (deg X_i = 1) and the
-weight (deg_w X_i = i).  Evaluation at a cycle type t sets
-X_i := number of i-cycles of t; lifting the evaluation over every class
+weight (deg_w X_i = i).  Evaluation at a class, a descending cycle tuple,
+sets X_i := its number of i-cycles; lifting the evaluation over every class
 of a fixed degree m gives a class function.
 
 Monomials are stored as tuples of (variable, exponent) pairs sorted by
@@ -13,7 +13,7 @@ which compares below every integer.
 
 import re
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from operator import add, mul
 
 from .characters import ClassFunction
@@ -180,24 +180,20 @@ def falling_factorial(p, k):
     return out
 
 
-def binomial_poly(p, k):
-    """The degree-k polynomial 'p choose k' = p(p-1)...(p-k+1)/k!."""
-    return falling_factorial(p, k) / factorial(k)
-
-
-def eval_rho(poly, t):
-    """Evaluate at the cycle type t: X_i := number of i-cycles of t."""
+def eval_rho(poly, cycles):
+    """Evaluate at the class with the descending cycle tuple `cycles`:
+    X_i := cycles.count(i), the number of i-cycles."""
     total = Fraction(0)
     for mono, coef in poly.terms.items():
         val = coef
         for v, e in mono:
-            val *= t.count(v) ** e
+            val *= cycles.count(v) ** e
         total += val
     return total
 
 
 def eval_rho_all(poly, m):
-    """Lift evaluation over every cycle type of degree m into a ClassFunction.
+    """Lift evaluation over every class of degree m into a ClassFunction.
 
     The coefficients are brought over one common denominator once; each
     monomial is then evaluated in integers on all classes at a time, from

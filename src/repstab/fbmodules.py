@@ -381,15 +381,21 @@ def _build(head, args, pos):
             raise ParseError(f"expected an integer, got {text!r}", p)
         return int(text)
 
-    def partition(arg):
+    def partition(arg, size=None):
+        """The partition of arg; when size is given, it must be a partition
+        of size, else the error is at the partition's first non-blank."""
         if isinstance(arg, tuple) and arg[0] == "str":
             text, p = arg[1], arg[2] + 1  # past the opening quote
         else:
             text, p = atom(arg)
         try:
-            return parse_partition(text)
+            lam = parse_partition(text)
         except ParseError as exc:
             raise ParseError(exc.message, p + exc.pos) from None
+        if size is not None and lam.size != size:
+            p += len(text) - len(text.lstrip())
+            raise ParseError(f"{lam} is not a partition of {size}", p)
+        return lam
 
     def family(arg):
         if isinstance(arg, tuple):
@@ -429,8 +435,8 @@ def _build(head, args, pos):
     if head == "proj":
         usage(args, '(proj n "parts" ...) needs a degree')
         n = integer(args[0])
-        lams = Counter(partition(a) for a in args[1:])
-        return Projective(valid(IrrDecomposition, n, lams))
+        lams = Counter(partition(a, n) for a in args[1:])
+        return Projective(IrrDecomposition(n, lams))
     if head == "cycle":
         usage(args, "(cycle parts...) needs at least one part")
         return CycleModule(valid(Partition, sorted(map(integer, args), reverse=True)))

@@ -1,19 +1,18 @@
-"""Partitions, cycle types, and conjugacy-class sizes of symmetric groups.
+"""Partitions, conjugacy classes and class sizes of symmetric groups.
 
 A partition is a weakly decreasing tuple of positive integers; the empty
-partition is a first-class value.  Cycle types are sparse multisets
-{length -> count} with sum(length * count) equal to the ambient degree m.
-Both are immutable and hashable.
+partition is a first-class value.
 
-A class of S_m is a partition of m (Macdonald I.1, I.7).  Inside the
-library it is keyed by its descending cycle tuple, e.g. (2, 1, 1), held
-with its position in classes(m).  The class sizes of a degree are computed
-on the first read of classes(m).sizes; only decompose and inner_product
-read them.  CycleType is what the public API, the parsers and the JSON
-take and return; cycle_types_of builds it.
+A class of S_m is a partition of m (Macdonald I.1, I.7), and everywhere,
+the public API included, it is its descending cycle tuple: (2, 1, 1) is
+the class of a transposition in S_4, () the sole class of S_0, and
+tuple.count(i) is the number X_i of i-cycles.  classes(m) holds the
+classes of one degree in the canonical order with their positions; the
+class sizes of a degree are computed on the first read of
+classes(m).sizes, and only decompose and inner_product read them.  Text
+and JSON print a class as 'i^n' factors (format_cycle_type).
 """
 
-from collections import Counter
 from functools import cached_property, lru_cache
 from math import factorial
 
@@ -142,102 +141,12 @@ def _split_with_positions(text, sep):
         pos += len(chunk) + len(sep)
 
 
-class CycleType:
-    """Cycle type of a permutation of m letters: counts[i] i-cycles, sum i*counts[i] = m.
-
-    Zero counts are never stored; the empty type is the type of the sole
-    element of the symmetric group on zero letters.
-    """
-
-    __slots__ = ("m", "_counts")
-
-    def __init__(self, counts, m=None):
-        items = tuple(sorted((int(i), int(n)) for i, n in dict(counts).items() if n))
-        for i, n in items:
-            if i < 1 or n < 0:
-                raise ValueError(f"bad cycle-type entry {i}^{n}")
-        total = sum(i * n for i, n in items)
-        if m is not None and m != total:
-            raise ValueError(f"cycle type sums to {total}, expected m={m}")
-        self.m = total
-        self._counts = items
-
-    @classmethod
-    def from_cycles(cls, lengths):
-        return cls(Counter(lengths))
-
-    @classmethod
-    def identity(cls, m):
-        return cls({1: m} if m else {})
-
-    def count(self, i):
-        """Number of i-cycles, i.e. the value X_i at this class."""
-        for j, n in self._counts:
-            if j == i:
-                return n
-        return 0
-
-    def items(self):
-        return self._counts
-
-    def cycles_desc(self):
-        """Cycle lengths as a descending tuple, e.g. (2, 1, 1)."""
-        out = []
-        for i, n in reversed(self._counts):
-            out.extend([i] * n)
-        return tuple(out)
-
-    def extend(self, m):
-        """The same permutation viewed in a larger group: add m - self.m fixed points."""
-        if m < self.m:
-            raise ValueError(f"cannot extend type of {self.m} down to {m}")
-        counts = dict(self._counts)
-        counts[1] = counts.get(1, 0) + (m - self.m)
-        return CycleType(counts)
-
-    def __eq__(self, other):
-        return isinstance(other, CycleType) and self._counts == other._counts
-
-    def __hash__(self):
-        return hash(self._counts)
-
-    def __repr__(self):
-        return f"CycleType({dict(self._counts)})"
-
-    def __str__(self):
-        return format_cycle_type(self)
-
-
-def parse_cycle_type(text):
-    """Parse space-separated 'i^n' factors, e.g. '1^2 2^1'; '-' is the empty type."""
-    text = text.strip()
-    if text == "-":
-        return CycleType({})
-    counts = {}
-    pos = 0
-    for tok in text.split():
-        pos = text.index(tok, pos)
-        if "^" in tok:
-            base, _, exp = tok.partition("^")
-        else:
-            base, exp = tok, "1"
-        if not base.isdecimal() or not exp.isdecimal():
-            raise ParseError(f"bad cycle-type factor {tok!r}", pos)
-        i, n = int(base), int(exp)
-        if i < 1:
-            raise ParseError(f"cycle lengths start at 1, got {i}", pos)
-        if i in counts:
-            raise ParseError(f"duplicate cycle length {i}", pos)
-        if n:
-            counts[i] = n
-        pos += len(tok)
-    return CycleType(counts)
-
-
-def format_cycle_type(t):
-    if not t.items():
+def format_cycle_type(cycles):
+    """The class with the descending cycle tuple `cycles` as 'i^n' factors
+    in increasing i, e.g. '1^2 2^1' for (2, 1, 1); '-' for the empty class."""
+    if not cycles:
         return "-"
-    return " ".join(f"{i}^{n}" for i, n in t.items())
+    return " ".join(f"{i}^{cycles.count(i)}" for i in sorted(set(cycles)))
 
 
 def partitions_of(m):
@@ -273,11 +182,9 @@ def _descending_tuples(m):
 
 
 def cycle_types_of(m):
-    """All cycle types of degree m, aligned with the partitions_of(m) order.
-
-    Fresh CycleType objects each call, built from classes(m).cycles.
-    """
-    return [CycleType.from_cycles(cycles) for cycles in classes(m).cycles]
+    """The descending cycle tuples of degree m, aligned with the
+    partitions_of(m) order, as a fresh list."""
+    return list(classes(m).cycles)
 
 
 class Classes:
@@ -304,7 +211,7 @@ class Classes:
 
     @cached_property
     def sizes(self):
-        return tuple(map(_class_size, self.cycles))
+        return tuple(map(class_size, self.cycles))
 
     def start(self, k):
         """Index of the first class whose largest cycle is at most k (k >= 0)."""
@@ -317,13 +224,9 @@ def classes(m):
     return Classes(m)
 
 
-def class_size(t):
-    """Number of elements of S_m with cycle type t: m! / prod(i^n_i * n_i!)."""
-    return _class_size(t.cycles_desc())
-
-
-def _class_size(cycles):
-    """Size of the class with the descending cycle tuple `cycles`."""
+def class_size(cycles):
+    """Number of elements of S_m in the class with the descending cycle
+    tuple `cycles`: m! / prod(i^n_i * n_i!)."""
     return factorial(sum(cycles)) // centralizer_order(cycles)
 
 

@@ -12,7 +12,7 @@ from math import factorial
 
 from repstab.characters import ClassFunction
 from repstab.errors import BudgetError
-from repstab.partitions import Partition, cycle_types_of
+from repstab.partitions import Partition, cycle_types_of, format_cycle_type
 
 # direct enumeration of S_m stops being reasonable past this degree
 INDUCTION_MAX_DEGREE = 8
@@ -266,7 +266,7 @@ def induce_bruteforce(chi, m, max_degree=INDUCTION_MAX_DEGREE):
     if m == n:
         return ClassFunction(m, dict(chi.values))
 
-    chi_by_lengths = {t.cycles_desc(): chi.values[t] for t in cycle_types_of(n)}
+    chi_by_lengths = chi.values
     subgroup_order = factorial(n) * factorial(m - n)
     values = {}
     for t, tally in _conjugation_tally(n, m).items():
@@ -285,7 +285,7 @@ def _conjugation_tally(n, m):
     conjugate, so only those are computed.
     """
     types = cycle_types_of(m)
-    reps = [(t, representative(t.cycles_desc(), m)) for t in types]
+    reps = [(t, representative(t, m)) for t in types]
     tallies = {t: {} for t in types}
     block = range(n)
     for x in permutations(range(m)):
@@ -301,15 +301,16 @@ def _conjugation_tally(n, m):
     return tallies
 
 
-# -- class functions as {CycleType: Fraction} dicts -----------------------------
+# -- class functions as {class: Fraction} dicts ---------------------------------
 #
 # The library stores a class function as integer numerators over one
 # denominator; these helpers redo its arithmetic on plain Fraction dicts,
-# one entry per cycle type, with class sizes counted by enumeration.
+# one entry per class (a descending cycle tuple), with class sizes counted
+# by enumeration.
 
 
 def ref_class_function(m, values):
-    """{cycle type: Fraction} over every type of degree m, 0 where absent."""
+    """{class: Fraction} over every class of degree m, 0 where absent."""
     return {t: Fraction(values.get(t, 0)) for t in cycle_types_of(m)}
 
 
@@ -336,15 +337,17 @@ def ref_is_zero(a):
 def ref_inner_product(a, b, m):
     """sum over the classes of |class| a b, over m!, with enumerated class sizes."""
     sizes = _class_sizes(m)
-    total = sum(sizes[t.cycles_desc()] * a[t] * b[t] for t in a)
+    total = sum(sizes[t] * a[t] * b[t] for t in a)
     return total / factorial(m)
 
 
 def ref_json(m, a):
-    """The to_json_dict document of a, types in the canonical order."""
+    """The to_json_dict document of a, classes in the canonical order."""
     return {
         "m": m,
-        "values": [{"type": str(t), "value": str(a[t])} for t in cycle_types_of(m)],
+        "values": [
+            {"type": format_cycle_type(t), "value": str(a[t])} for t in cycle_types_of(m)
+        ],
     }
 
 

@@ -11,9 +11,10 @@ back to X_l, and the rebuilding of a stable family from single-irreducible
 families.
 """
 
+from collections import Counter
 from fractions import Fraction
 
-from repstab.characters import inner_product, trivial_character
+from repstab.characters import inner_product, irr_character
 from repstab.cyclepoly import CharPolynomial, X, eval_rho, eval_rho_all, falling_factorial
 from repstab.fbmodules import (
     DEFAULT_BUDGET,
@@ -70,7 +71,7 @@ def class_indicator(t):
     where k is the number of i-cycles of t and j ranges over the values
     X_i can take on degree m, i.e. 0..floor(m/i).
     """
-    m = t.m
+    m = sum(t)
     out = CharPolynomial.one()
     for i in range(1, m + 1):
         out = out * _lagrange_factor(X(i), t.count(i), m // i)
@@ -131,7 +132,9 @@ def weight_bounded_monomials(d):
     """The monomial basis of polynomials of weight <= d: one monomial
     X_1^{n_1} ... X_d^{n_d} per partition of size <= d."""
     return [
-        CharPolynomial({t.items(): 1}) for j in range(d + 1) for t in cycle_types_of(j)
+        CharPolynomial({tuple(Counter(t).items()): 1})
+        for j in range(d + 1)
+        for t in cycle_types_of(j)
     ]
 
 
@@ -198,8 +201,12 @@ def scalar_stability_check(poly, m_range):
     """Trivial-isotypic multiplicities <1 | evaluation of poly> must be
     constant from the weight of poly on."""
     degw = poly.weighted_degree()
+
+    def trivial(m):  # the trivial character: the irreducible of shape (m)
+        return irr_character(Partition([m] if m else []))
+
     tail = [
-        inner_product(trivial_character(m), eval_rho_all(poly, m))
+        inner_product(trivial(m), eval_rho_all(poly, m))
         for m in sorted(m_range)
         if m >= degw
     ]

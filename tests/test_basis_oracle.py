@@ -17,7 +17,7 @@ import pytest
 from repstab.characters import IrrDecomposition
 from repstab.fbmodules import parse_spec, terms_at
 from repstab.frobenius import frobenius_poly_stable
-from repstab.partitions import CycleType, partitions_of
+from repstab.partitions import partitions_of
 from repstab.stability import verify_equivalence
 
 from bruteforce import class_sizes_by_enumeration, mn_beta_set
@@ -44,7 +44,7 @@ def peel_socle_multiplicities(poly):
         top = {}  # descending cycle lengths of rho -> c_rho
         for mono, coef in rest.terms.items():
             if sum(v * e for v, e in mono) == w:
-                cycles = CycleType(dict(mono)).cycles_desc()
+                cycles = tuple(v for v, e in reversed(mono) for _ in range(e))
                 top[cycles] = coef * prod(factorial(e) for _, e in mono)
         sizes = class_sizes_by_enumeration(w)
         for s in partitions_of(w):

@@ -34,6 +34,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_CASES = {
     "chartable_3.txt": ["chartable", "3"],
     "chartable_4_json.txt": ["chartable", "4", "--json"],
+    "chartable_5_json.txt": ["chartable", "5", "--json"],
     "frobpoly_4_1.txt": ["frobpoly", "4,1"],
     "frobpoly_socle_2_json.txt": ["frobpoly", "socle:2", "--json"],
     "pieri_322_10.txt": ["pieri", "3,2,2", "10"],
@@ -44,6 +45,8 @@ GOLDEN_CASES = {
     "cyclepoly_3_json.txt": ["cyclepoly", "3", "--json"],
     "rho_std_3.txt": ["rho", "--poly", "X1 - 1", "--m", "3"],
     "rho_std_3_json.txt": ["rho", "--poly", "X1 - 1", "--m", "3", "--json"],
+    "rho_x1sq_x2_6.txt": ["rho", "--poly", "X1^2*X2 - X3", "--m", "6"],
+    "rho_x1sq_x2_6_json.txt": ["rho", "--poly", "X1^2*X2 - X3", "--m", "6", "--json"],
     "rankscan_cycle2.txt": ["rankscan", "--spec", "(cycle 2)", "--mmax", "7"],
     "rankscan_cycle2_json.txt": [
         "rankscan", "--spec", "(cycle 2)", "--mmax", "7", "--json",

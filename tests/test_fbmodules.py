@@ -21,7 +21,7 @@ from repstab.fbmodules import (
     parse_spec,
     terms_at,
 )
-from repstab.partitions import CycleType, Partition, cycle_types_of
+from repstab.partitions import Partition, cycle_types_of
 
 from bruteforce import commuting_cycle_count, representative
 from lemmas import express_X_in_E, substitute
@@ -51,14 +51,14 @@ def test_cycle_poly_identity_class_dimension():
             for k in range(ell):
                 expected *= m - k
             expected /= ell
-            assert eval_rho(cycle_poly(ell), CycleType.identity(m)) == expected
+            assert eval_rho(cycle_poly(ell), (1,) * m) == expected
 
 
 def test_cycle_poly_counts_commuting_cycles():
     # oracle: enumerate ell-cycles commuting with a representative of each class
     for m in range(1, 7):
         for t in cycle_types_of(m):
-            g = representative(t.cycles_desc(), m)
+            g = representative(t, m)
             for ell in range(1, m + 1):
                 assert eval_rho(cycle_poly(ell), t) == commuting_cycle_count(g, ell), (
                     m,
@@ -73,14 +73,14 @@ def test_cycle_module_char_examples():
         for t in cycle_types_of(m):
             assert perm.values[t] == t.count(1)
     vals = cycle_module_char(P(2), 3)
-    assert vals.values[CycleType.identity(3)] == 3
-    assert vals.values[CycleType({1: 1, 2: 1})] == 1
-    assert vals.values[CycleType({3: 1})] == 0
+    assert vals.values[(1, 1, 1)] == 3
+    assert vals.values[(2, 1)] == 1
+    assert vals.values[(3,)] == 0
     sq = cycle_module_char(P(1, 1), 3)
     assert vals.m == sq.m == 3
-    assert sq.values[CycleType.identity(3)] == 9
-    assert sq.values[CycleType({1: 1, 2: 1})] == 1
-    assert sq.values[CycleType({3: 1})] == 0
+    assert sq.values[(1, 1, 1)] == 9
+    assert sq.values[(2, 1)] == 1
+    assert sq.values[(3,)] == 0
 
 
 def test_express_X_in_E_roundtrip():
@@ -109,15 +109,15 @@ def test_character_at_vfamily_conventions():
     assert character_at(VFamily(P(1)), 3) == irr_character(P(3))
     # re-padded convention: the (1)-family is the standard-representation family
     f = character_at(VFamily(P(1), "padded"), 3)
-    assert f.values[CycleType.identity(3)] == 2
-    assert f.values[CycleType({1: 1, 2: 1})] == 0
-    assert f.values[CycleType({3: 1})] == -1
+    assert f.values[(1, 1, 1)] == 2
+    assert f.values[(2, 1)] == 0
+    assert f.values[(3,)] == -1
 
 
 def test_terms_at_cycle_module():
     d = terms_at(CycleModule(P(2)), 4)
     assert d == IrrDecomposition(4, {P(4): 1, P(3, 1): 1, P(2, 2): 1})
-    assert d.dimension() == character_at(CycleModule(P(2)), 4)(CycleType.identity(4)) == 6
+    assert d.dimension() == character_at(CycleModule(P(2)), 4).values[(1, 1, 1, 1)] == 6
 
 
 @pytest.mark.parametrize(
@@ -276,7 +276,9 @@ SPEC_ERRORS = [
     ("(vfam ²)", "bad partition part '²'", 6),
     ('(vfam "2,²")', "bad partition part '²'", 9),
     ("(proj)", '(proj n "parts" ...) needs a degree', 0),
-    ('(proj 3 "2,2")', "Partition([2, 2]) is not a partition of 3", 0),
+    ('(proj 3 "2,2")', "2,2 is not a partition of 3", 9),
+    ('(proj 3 "2,1" " 2,2")', "2,2 is not a partition of 3", 16),
+    ("(proj 2 3)", "3 is not a partition of 2", 8),
     ("(proj x)", "expected an integer, got 'x'", 6),
     ('(proj 3 "2,1" (vfam 1))', "expected a plain atom", 0),
     ("(cycle)", "(cycle parts...) needs at least one part", 0),

@@ -276,36 +276,19 @@ def test_cold_scan_builds_no_irr_decomposition(monkeypatch, text, m_max):
     assert built == []
 
 
-def test_cold_pieri_scan_builds_no_cycle_type(monkeypatch):
-    # inside the library a class is its cycle tuple; CycleType objects are
-    # built only at the API edge, which a rank scan never reaches
-    from repstab.partitions import CycleType
-
-    built = []
-    init = CycleType.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(CycleType, "__init__", counting_init)
-    _cold_scan('(proj 3 "2,1")', 12)
-    assert built == []
-
-
 def test_cold_pieri_scan_computes_no_class_size(monkeypatch):
     # class sizes are computed on first read, and only decompose and
     # inner_product read them; a Pieri scan calls neither
     from repstab import partitions
 
     sized = []
-    size = partitions._class_size
+    size = partitions.class_size
 
     def counting_size(cycles):
         sized.append(cycles)
         return size(cycles)
 
-    monkeypatch.setattr(partitions, "_class_size", counting_size)
+    monkeypatch.setattr(partitions, "class_size", counting_size)
     _cold_scan('(proj 3 "2,1")', 12)
     assert sized == []
 
