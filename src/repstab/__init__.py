@@ -80,7 +80,7 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Empty every lru_cache of every repstab module, the kernel rows and
-    the per-degree socle caches included."""
+    the family step lists included."""
     for name, module in list(sys.modules.items()):
         if name.startswith(__name__ + "."):
             for value in vars(module).values():

@@ -3,24 +3,24 @@
 A family is described by a finite tree of constructors: induced
 (projective) families, the single-irreducible families V, permutation
 modules on cycles, tensor products, direct sums, degree truncation, and
-weight truncation.  Evaluating a family at a degree m yields its socle
-multiplicities {s: multiplicity of s[m]} (socles_at), its decomposition
-into irreducibles (terms_at) or its character (character_at).
+weight truncation.
 
-The socle multiplicities are the one per-degree form inside the library,
-held in one bounded cache; terms_at pads each socle s to s[m] and builds
-the decomposition only at the API edge.  They touch no conjugacy class
-of degree m.  An induced family, a cycle module or a tensor product is a
-step function of m, read off a step list that is built once per base or
-polynomial, and summed in integers up to m (pieri.sum_steps).  An
-induced family uses its base's list of entries (s, |s| + nu_1,
-multiplicity of nu) over the horizontal strips nu/s (Pieri's rule,
-pieri.induced_steps).  A cycle module, or a tensor product, uses the
-entries (s, |s| + mu_1, f_mu) of a polynomial that evaluates to its
-character at m, over one denominator (frobenius.socle_steps), which
-needs classes of degree at most the polynomial's weight.  A
-single-irreducible family is one socle, a direct sum adds multiplicities,
-and the truncations cut on m or on |s|, the weight of s[m].
+Inside the library a family is one form, its net step list up to a top
+degree (family_steps): the entries (s, start, delta) by which the
+multiplicity of s[m] changes at start, in the layout of
+pieri.horizontal_strip_steps, one bounded cache for every node.  Each
+constructor maps its children's lists to its own.  An induced family
+takes its base's Pieri entries (pieri.induced_steps); a cycle module
+the entries of its cycle-count polynomial (frobenius.socle_steps, which
+reads classes of degree at most the polynomial's weight), in integers;
+a tensor product, between consecutive breakpoints of its factors, those
+of the product of their module polynomials.  A single-irreducible family
+is one entry, a direct sum merges lists, a degree truncation moves every
+start up to its cutoff and a weight truncation keeps the s by |s|, the
+weight of s[m].  No class of a listed degree is read.
+
+At the API edge, the socle multiplicities at m (socles_at) are the
+prefix sums of the list up to m, and terms_at pads each socle s to s[m].
 character_at runs over the p(m) classes of S_m: cycle modules evaluate
 their polynomial on every class and tensor products multiply characters
 pointwise, so it stays an independent second route.  All three are
@@ -32,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 
 from .characters import ClassFunction, IrrDecomposition
@@ -39,7 +40,7 @@ from .cyclepoly import CharPolynomial, X, eval_rho_all, falling_factorial
 from .errors import BudgetError, ParseError
 from .frobenius import frobenius_poly_of_socles, socle_steps
 from .partitions import Partition, format_partition, parse_partition
-from .pieri import induced_steps, sum_steps
+from .pieri import induced_steps, prefix_sums, sum_steps
 
 DEFAULT_BUDGET = 14
 
@@ -128,15 +129,15 @@ class WeightTruncateGT:
 def terms_at(spec, m, budget=DEFAULT_BUDGET):
     """Decomposition into irreducibles of the family at degree m: its
     socle multiplicities, each socle s padded to s[m]."""
-    check_budget(m, budget)
-    return _decomposition(_socles(spec, m), m)
+    socles = socles_at(spec, m, budget)
+    return IrrDecomposition(m, {s.pad(m): n for s, n in socles.items()})
 
 
 def socles_at(spec, m, budget=DEFAULT_BUDGET):
     """{s: multiplicity of s[m]} of the family at degree m, zero entries
-    dropped, as a fresh dict."""
+    dropped, as a fresh dict: the sums of its step list."""
     check_budget(m, budget)
-    return dict(_socles(spec, m))
+    return sum_steps(family_steps(spec, m), m)
 
 
 def character_at(spec, m, budget=DEFAULT_BUDGET):
@@ -144,7 +145,7 @@ def character_at(spec, m, budget=DEFAULT_BUDGET):
 
     Cycle modules evaluate their cycle-count polynomial directly and tensor
     products multiply the factors' characters, keeping those paths
-    independent of the decomposition route.
+    independent of the step lists.
     """
     check_budget(m, budget)
     return _character(spec, m)
@@ -161,68 +162,79 @@ def check_budget(m, budget):
 
 
 @lru_cache(maxsize=1024)
-def _socles(spec, m):
-    """{s: multiplicity of s[m]} of the family at degree m, zero entries
-    dropped; shared by every caller, so never changed in place."""
+def family_steps(spec, top):
+    """The family's net step list up to degree top: the entries (s, start,
+    delta), start <= top and delta != 0, by which the multiplicity of s[m]
+    changes at start, one per (s, start), sorted by (start, s)."""
     match spec:
         case Projective(base=w):
-            return {} if m < w.m else sum_steps(induced_steps(w.items()), m)
-        case VFamily(lam=lam, convention=conv):
-            if conv == "socle":
-                return {} if m < lam.size else {lam.socle(): 1}
-            first = lam.parts[0] if lam else 0
-            return {} if m < lam.size + first else {lam: 1}
+            entries = induced_steps(w.items())
+        case VFamily(lam=lam, convention="socle"):
+            entries = [(lam.socle(), lam.size, 1)]
+        case VFamily(lam=lam):
+            entries = [(lam, lam.size + (lam.parts[0] if lam else 0), 1)]
         case CycleModule(nu=nu):
-            return _module_socles(cycle_poly_product(nu), m)
+            entries = _integer_steps([(cycle_poly_product(nu), 0, top)])
         case Tensor(left=left, right=right):
-            return _module_socles(_factor_poly(left, m) * _factor_poly(right, m), m)
+            entries = _tensor_steps(left, right, top)
         case DirectSum(children=children):
-            total = {}
-            for child in children:
-                for s, n in _socles(child, m).items():
-                    total[s] = total.get(s, 0) + n
-            return total
+            entries = [e for child in children for e in family_steps(child, top)]
         case Truncate(child=child, cutoff=cutoff):
-            return {} if m < cutoff else _socles(child, m)
+            entries = [(s, max(b, cutoff), d) for s, b, d in family_steps(child, top)]
         case WeightTruncateLE(child=child, p=p):  # s[m] has weight |s|
-            return {s: n for s, n in _socles(child, m).items() if s.size <= p}
+            entries = [e for e in family_steps(child, top) if e[0].size <= p]
         case WeightTruncateGT(child=child, p=p):
-            return {s: n for s, n in _socles(child, m).items() if s.size > p}
-    raise TypeError(f"not a family constructor: {spec!r}")
+            entries = [e for e in family_steps(child, top) if e[0].size > p]
+        case _:
+            raise TypeError(f"not a family constructor: {spec!r}")
+    net = {}
+    for s, start, delta in entries:
+        if start <= top:
+            net[s, start] = net.get((s, start), 0) + delta
+    entries = ((s, b, d) for (s, b), d in net.items() if d)
+    return tuple(sorted(entries, key=lambda e: (e[1], e[0])))
 
 
-def _factor_poly(spec, m):
-    """A polynomial that evaluates to the family's character at degree m.
+def _tensor_steps(left, right, top):
+    """The entries of a tensor product up to top.  A factor's module
+    polynomial changes only at its breakpoints (a cycle module's never),
+    so between consecutive breakpoints b <= m < c of the two the product
+    follows Q = P_left(b) * P_right(b), a character there."""
+    factors = [(f, family_steps(f, top)) for f in (left, right)]
+    moving = [st for f, st in factors if not isinstance(f, CycleModule)]
+    breaks = sorted({0}.union(*({b for _, b, _ in st} for st in moving)))
 
-    The module polynomial of the socles at m does so because every
-    partition of m is admissible for its socle.
-    """
-    if isinstance(spec, CycleModule):
-        return cycle_poly_product(spec.nu)
-    return frobenius_poly_of_socles(_socles(spec, m))
+    def polys(f, steps):
+        if isinstance(f, CycleModule):
+            return repeat(cycle_poly_product(f.nu))
+        return map(frobenius_poly_of_socles, prefix_sums(steps, breaks))
 
-
-def _module_socles(poly, m):
-    """The socle multiplicities at degree m of a polynomial that evaluates
-    to a character there, summed in integers off its step list; ValueError
-    when one is negative or not an integer (see frobenius.decompose_poly)."""
-    steps, den = socle_steps(poly, min(m, poly.weighted_degree()))
-    socles = {}
-    for s, total in sum_steps(steps, m).items():
-        n, rem = divmod(total, den)
-        if rem:
-            n = Fraction(total, den)
-            raise ValueError(f"non-integral multiplicity {n} for {s.pad(m)}")
-        if n < 0:
-            raise ValueError(f"negative multiplicity {n} for {s.pad(m)}")
-        if n:
-            socles[s] = n
-    return socles
+    pieces = zip(*(polys(f, st) for f, st in factors), breaks, breaks[1:] + [top + 1])
+    return _integer_steps((p * q, b, c - 1) for p, q, b, c in pieces)
 
 
-def _decomposition(socles, m):
-    """The decomposition at degree m with the socle multiplicities socles."""
-    return IrrDecomposition(m, {s.pad(m): n for s, n in socles.items()})
+def _integer_steps(pieces):
+    """The entries that lead from zero through the multiplicities of each
+    piece (poly, lo, hi) in turn, poly a polynomial that evaluates to a
+    character on [lo, hi]: a jump at lo to its multiplicities, then its
+    own changes up to hi, read in integers off its step list.  ValueError
+    at the first degree where a multiplicity is negative or no integer."""
+    prev = {}
+    for poly, lo, hi in pieces:
+        steps, den = socle_steps(poly, min(hi, poly.weighted_degree()))
+        degrees = [lo] + sorted({b for _, b, _ in steps if lo < b <= hi})
+        for m, sums in zip(degrees, prefix_sums(steps, degrees)):
+            yield from ((s, m, -n) for s, n in prev.items())
+            prev = {}
+            for s, total in sums.items():
+                n, rem = divmod(total, den)
+                if rem:
+                    n = Fraction(total, den)
+                    raise ValueError(f"non-integral multiplicity {n} for {s.pad(m)}")
+                if n < 0:
+                    raise ValueError(f"negative multiplicity {n} for {s.pad(m)}")
+                prev[s] = n
+                yield s, m, n
 
 
 @lru_cache(maxsize=1024)
@@ -238,7 +250,7 @@ def _character(spec, m):
                 total = total + _character(child, m)
             return total
         case _:
-            return _decomposition(_socles(spec, m), m).character()
+            return terms_at(spec, m, m).character()
 
 
 # -- cycle-count polynomials --------------------------------------------------
@@ -376,8 +388,9 @@ def _build(head, args, pos):
         raise ParseError("expected a plain atom", pos)
 
     def integer(arg):
+        """A degree, cutoff, bound or cycle length: never negative."""
         text, p = atom(arg)
-        if not (text.isdecimal() or (text[:1] == "-" and text[1:].isdecimal())):
+        if not text.isdecimal():
             raise ParseError(f"expected an integer, got {text!r}", p)
         return int(text)
 

@@ -34,12 +34,11 @@ s[m] once when s[m]/mu is a horizontal strip, that is when
 m - |s| >= mu_1 >= s_1 >= mu_2 >= s_2 >= ...: mu/s is a horizontal strip
 and m >= |s| + mu_1.  So the multiplicity of s[m] in P at m is a step
 function of m, read off the f_mu of degree <= weight(P) without any
-class of degree m (decompose_poly).  Its entries (s, |s| + mu_1, f_mu)
-come from pieri.horizontal_strip_steps, which lists the steps of an
-induced family the same way.
+class of degree m.  Its entries (s, |s| + mu_1, f_mu) (socle_steps) come
+from pieri.horizontal_strip_steps, which lists the steps of an induced
+family the same way.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
@@ -47,7 +46,7 @@ from math import factorial, lcm
 from .characters import irr_row
 from .cyclepoly import CharPolynomial
 from .partitions import Partition, centralizer_order, classes, partitions_of
-from .pieri import horizontal_strip_steps, sum_steps
+from .pieri import horizontal_strip_steps
 
 
 def frobenius_poly(lam):
@@ -197,18 +196,6 @@ def frobenius_coefficients(poly, top=None):
             if f:
                 num[mu] = f
     return num, den * scale
-
-
-def decompose_poly(poly, m):
-    """The virtual decomposition of poly taken at degree m, as {s:
-    multiplicity of s[m]} over socles s, zero entries dropped.
-
-    The multiplicities are Fractions: integers >= 0 when poly takes a
-    character at m, any rationals otherwise.  Only classes of degree at
-    most min(m, weight(poly)) are used.
-    """
-    steps, den = socle_steps(poly, min(m, poly.weighted_degree()))
-    return {s: Fraction(n, den) for s, n in sum_steps(steps, m).items() if n}
 
 
 @lru_cache(maxsize=1024)

@@ -13,9 +13,9 @@ holds one entry (s, |s| + nu_1, multiplicity of nu) for each factor nu of
 the base and each s with nu/s a horizontal strip, sorted by the start
 |s| + nu_1; the factors at degree m are the s[m] of the entries that start
 at or below m.  horizontal_strip_steps lists the entries, induced_steps
-caches the list once per base, and sum_steps reads the socle
-multiplicities at any degree off it.  They stop changing once m reaches
-the last start, |nu| + nu_1 for the widest nu.
+caches the list once per base, and prefix_sums reads the socle
+multiplicities at ascending degrees off it in one pass.  They stop
+changing once m reaches the last start, |nu| + nu_1 for the widest nu.
 """
 
 from functools import lru_cache
@@ -51,15 +51,22 @@ def induced_steps(base):
     return horizontal_strip_steps(dict(base))
 
 
+def prefix_sums(steps, degrees):
+    """For each of the ascending degrees m in turn, {s: the sum of f over
+    the entries (s, start, f) of steps that start at or below m}, zero sums
+    dropped, as a fresh dict; steps is sorted by start and read once."""
+    acc, i = {}, 0
+    for m in degrees:
+        while i < len(steps) and steps[i][1] <= m:
+            s, _, f = steps[i]
+            acc[s] = acc.get(s, 0) + f
+            i += 1
+        yield {s: n for s, n in acc.items() if n}
+
+
 def sum_steps(steps, m):
-    """{s: the sum of f over the entries (s, start, f) of steps that start
-    at or below m}, for a step list sorted by start; sums may be 0."""
-    acc = {}
-    for s, start, f in steps:
-        if start > m:
-            break
-        acc[s] = acc.get(s, 0) + f
-    return acc
+    """prefix_sums of steps at the one degree m."""
+    return next(prefix_sums(steps, (m,)))
 
 
 def pieri_expand(nu, m):
@@ -79,7 +86,5 @@ def projective_terms(w, m):
     factor of w, carried with its multiplicity (the construction is
     additive and exact), read off the step list of w.
     """
-    if m < w.m:
-        return IrrDecomposition(m)
-    socles = sum_steps(induced_steps(w.items()), m)
+    socles = sum_steps(induced_steps(w.items()), m)  # empty below w.m
     return IrrDecomposition(m, {s.pad(m): n for s, n in socles.items()})

@@ -1,30 +1,31 @@
 """Empirical certification of the two stability ranks of a module family.
 
-Both ranks are statements about the family's socle multiplicities
-{s: multiplicity of s[m]} (fbmodules.socles_at), and the scan works on
-those alone: it builds no decomposition.  rank_rs_estimate finds the
-degree past which they stop changing (and the occurring socles are
-admissible for that degree); rank_pc_estimate finds the degree past
-which one fixed polynomial P in the cycle-count variables evaluates to
-the family's characters.  It compares multiplicities, not values: the
-step list of P (frobenius.socle_steps), built once per scan from
-classes of degree at most the weight of P, gives P's multiplicities at
-every degree in integers over one denominator, so neither estimator
-touches the conjugacy classes of the degrees it scans.  Both are
-certified only on the scanned window [0, m_max]: the estimators verify,
-they do not prove.  verify_equivalence runs both and checks the bounds
-relating the two ranks; tensor_weight and tensor_weight_bound_holds
-serve the tensorweight command.
+Both ranks are statements about one step function of m, the family's
+socle multiplicities {s: multiplicity of s[m]}, and a scan reads them off
+the family's net step list up to m_max (fbmodules.family_steps), built
+once per scan; it builds no decomposition and touches no conjugacy class
+of the degrees it scans.  rank_rs_estimate is the last start of the list,
+or the degree from which the occurring socles are admissible if that is
+later.  rank_pc_estimate compares the list with the step list of one
+fixed polynomial P in the cycle-count variables (frobenius.socle_steps,
+built from classes of degree at most the weight of P, in integers over
+one denominator): the rank is where their difference last stops
+vanishing.  Both are certified only on the scanned window [0, m_max]:
+the estimators verify, they do not prove.  verify_equivalence runs both
+and checks the bounds relating the two ranks at the breakpoints of the
+list; tensor_weight and tensor_weight_bound_holds serve the tensorweight
+command.
 """
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .characters import decompose, irr_character
 from .cyclepoly import CharPolynomial, format_poly
-from .fbmodules import DEFAULT_BUDGET, check_budget, format_spec, socles_at
+from .fbmodules import DEFAULT_BUDGET, check_budget, family_steps, format_spec
 from .frobenius import frobenius_poly_of_socles, socle_steps
 from .partitions import format_partition
-from .pieri import sum_steps
+from .pieri import prefix_sums, sum_steps
 
 
 @dataclass
@@ -71,20 +72,15 @@ def rank_rs_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     and every occurring socle s satisfies |s| + s_1 <= N.
 
     Returns (N, multiplicities) or None when no such N exists in the window.
-    Constancy is only checked up to m_max.
+    Constancy is only checked up to m_max: the multiplicities last change
+    at the last start of the family's step list.
     """
     check_budget(m_max, budget)
-    stable = socles_at(spec, m_max, budget)
-    start = m_max
-    while start > 0 and socles_at(spec, start - 1, budget) == stable:
-        start -= 1
-    admissible = max(
-        (s.size + (s.parts[0] if s else 0) for s in stable), default=0
-    )
-    n = max(start, admissible)
-    if n > m_max:
-        return None
-    return n, stable
+    steps = family_steps(spec, m_max)
+    stable = sum_steps(steps, m_max)
+    admissible = max((s.size + (s.parts[0] if s else 0) for s in stable), default=0)
+    n = max(steps[-1][1] if steps else 0, admissible)
+    return None if n > m_max else (n, stable)
 
 
 def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
@@ -95,29 +91,25 @@ def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     candidate already fails at m_max - 1.
 
     Two class functions of one degree are equal exactly when their
-    decompositions are.  The step list of P (frobenius.socle_steps) is
-    read once: at each degree k its integer sums over the entries that
-    start at or below k are the multiplicities of P at k times den, and
-    are compared with the family's socle multiplicities times den.  An
-    entry for mu starts at or above |mu|, so the list taken at
-    min(m_max, weight of P) holds every entry that decompose_poly(P, k)
-    would read, and no class above the weight of P is used.
+    decompositions are.  D, P's step list (frobenius.socle_steps) minus
+    den times the family's, sums at each degree to den times the difference
+    of their multiplicities; N is the degree from which D sums to zero
+    below m_max.  An entry for mu starts at or above |mu|, so P's list
+    taken at min(m_max, weight of P) holds every entry up to m_max, and
+    no class above the weight of P is read.
     """
     check_budget(m_max, budget)
-    poly = frobenius_poly_of_socles(socles_at(spec, m_max, budget))
-    steps, den = socle_steps(poly, min(m_max, poly.weighted_degree()))
-
-    def agrees(k):
-        sums = {s: n for s, n in sum_steps(steps, k).items() if n}
-        return sums == {s: n * den for s, n in socles_at(spec, k, budget).items()}
-
-    n = m_max
-    while n > 0 and agrees(n - 1):
-        n -= 1
+    steps = family_steps(spec, m_max)
+    poly = frobenius_poly_of_socles(sum_steps(steps, m_max))
+    p_steps, den = socle_steps(poly, min(m_max, poly.weighted_degree()))
+    diff = sorted(p_steps + tuple((s, b, -den * d) for s, b, d in steps), key=itemgetter(1))
+    starts = sorted({0}.union(b for _, b, _ in diff if b < m_max))
+    ends = starts[1:] + [m_max]
+    n = max((end for end, sums in zip(ends, prefix_sums(diff, starts)) if sums), default=0)
     if n == m_max and m_max > 0:
         # re-derivation check: the polynomial taken one degree down must
         # disagree, else the failure would contradict its own construction
-        other = frobenius_poly_of_socles(socles_at(spec, m_max - 1, budget))
+        other = frobenius_poly_of_socles(sum_steps(steps, m_max - 1))
         if other == poly:
             raise RuntimeError(
                 f"module polynomial at degree {m_max - 1} equals the candidate "
@@ -134,7 +126,9 @@ def verify_equivalence(spec, m_max, budget=DEFAULT_BUDGET):
       - rank_pc <= rank_rs;
       - rank_rs <= max(rank_pc, 2 * weight of the polynomial);
       - from max(2 * weight, rank_pc) on, the module polynomial is the
-        polynomial and the module weight equals its weight.
+        polynomial and the module weight equals its weight.  Both are
+        constant between the starts of the family's step list, so they
+        are checked at the first degree and at each later start.
     """
     check_budget(m_max, budget)
     report = StabilityReport(spec=spec, m_max=m_max)
@@ -153,10 +147,11 @@ def verify_equivalence(spec, m_max, budget=DEFAULT_BUDGET):
         ("rank_rs_le_max_rank_pc_2degw", report.rank_rs <= max(report.rank_pc, two_d))
     )
     lo = max(two_d, report.rank_pc)
+    steps = family_steps(spec, m_max)
+    degrees = sorted({b for _, b, _ in steps if b > lo}.union([lo] if lo <= m_max else []))
     poly_ok, weight_ok = True, True
     expected_w = 0 if poly.is_zero() else poly.weighted_degree()
-    for m in range(lo, m_max + 1):
-        socles = socles_at(spec, m, budget)
+    for socles in prefix_sums(steps, degrees):
         if frobenius_poly_of_socles(socles) != poly:
             poly_ok = False
         # s[m] has weight |s|

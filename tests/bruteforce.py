@@ -2,7 +2,10 @@
 
 Everything here works directly with permutations as tuples (images of
 0..m-1) or with elementary recurrences, never through the library's own
-algorithms, so that agreement is meaningful.
+algorithms, so that agreement is meaningful.  The one exception is the
+last section, which evaluates a family one degree at a time from the
+library's per-polynomial step lists, as a second route to the family's
+composed step list.
 """
 
 from fractions import Fraction
@@ -12,7 +15,20 @@ from math import factorial
 
 from repstab.characters import ClassFunction
 from repstab.errors import BudgetError
+from repstab.fbmodules import (
+    CycleModule,
+    DirectSum,
+    Projective,
+    Tensor,
+    Truncate,
+    VFamily,
+    WeightTruncateGT,
+    WeightTruncateLE,
+    cycle_poly_product,
+)
+from repstab.frobenius import frobenius_poly_of_socles, socle_steps
 from repstab.partitions import Partition, cycle_types_of, format_cycle_type
+from repstab.pieri import induced_steps, sum_steps
 
 # direct enumeration of S_m stops being reasonable past this degree
 INDUCTION_MAX_DEGREE = 8
@@ -354,3 +370,80 @@ def ref_json(m, a):
 @lru_cache(maxsize=None)
 def _class_sizes(m):
     return class_sizes_by_enumeration(m)
+
+
+# -- a family degree by degree -------------------------------------------------
+#
+# The library composes one step list per family node (fbmodules.family_steps)
+# and reads every degree and both ranks off it.  These evaluate each degree on
+# its own: a tensor product multiplies its factors' polynomials at that very
+# degree, a truncation tests m against its cutoff, and the ranks come from
+# walking down the window one degree at a time.
+
+
+def decompose_poly(poly, m):
+    """The virtual decomposition of poly taken at degree m, as {s:
+    multiplicity of s[m]} over socles s, zero entries dropped.
+
+    The multiplicities are Fractions: integers >= 0 when poly takes a
+    character at m, any rationals otherwise.
+    """
+    steps, den = socle_steps(poly, min(m, poly.weighted_degree()))
+    return {s: Fraction(n, den) for s, n in sum_steps(steps, m).items()}
+
+
+@lru_cache(maxsize=4096)
+def socles_by_degree(spec, m):
+    """{s: multiplicity of s[m]} of the family at degree m, zero entries dropped."""
+    match spec:
+        case Projective(base=w):
+            return {} if m < w.m else sum_steps(induced_steps(w.items()), m)
+        case VFamily(lam=lam, convention=conv):
+            if conv == "socle":
+                return {} if m < lam.size else {lam.socle(): 1}
+            first = lam.parts[0] if lam else 0
+            return {} if m < lam.size + first else {lam: 1}
+        case CycleModule(nu=nu):
+            return decompose_poly(cycle_poly_product(nu), m)
+        case Tensor(left=left, right=right):
+            return decompose_poly(_factor_poly(left, m) * _factor_poly(right, m), m)
+        case DirectSum(children=children):
+            total = {}
+            for child in children:
+                for s, n in socles_by_degree(child, m).items():
+                    total[s] = total.get(s, 0) + n
+            return {s: n for s, n in total.items() if n}
+        case Truncate(child=child, cutoff=cutoff):
+            return {} if m < cutoff else socles_by_degree(child, m)
+        case WeightTruncateLE(child=child, p=p):
+            return {s: n for s, n in socles_by_degree(child, m).items() if s.size <= p}
+        case WeightTruncateGT(child=child, p=p):
+            return {s: n for s, n in socles_by_degree(child, m).items() if s.size > p}
+    raise TypeError(f"not a family constructor: {spec!r}")
+
+
+def _factor_poly(spec, m):
+    if isinstance(spec, CycleModule):
+        return cycle_poly_product(spec.nu)
+    return frobenius_poly_of_socles(socles_by_degree(spec, m))
+
+
+def rank_rs_by_walk(spec, m_max):
+    """rank_rs_estimate, walking down from m_max while the socles stay put."""
+    stable = socles_by_degree(spec, m_max)
+    start = m_max
+    while start > 0 and socles_by_degree(spec, start - 1) == stable:
+        start -= 1
+    admissible = max((s.size + (s[0] if s else 0) for s in stable), default=0)
+    n = max(start, admissible)
+    return None if n > m_max else (n, stable)
+
+
+def rank_pc_by_walk(spec, m_max):
+    """rank_pc_estimate, walking down from m_max while the module polynomial
+    at m_max decomposes into the family's socles."""
+    poly = frobenius_poly_of_socles(socles_by_degree(spec, m_max))
+    n = m_max
+    while n > 0 and decompose_poly(poly, n - 1) == socles_by_degree(spec, n - 1):
+        n -= 1
+    return None if n == m_max > 0 else (n, poly)

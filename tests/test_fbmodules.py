@@ -14,6 +14,7 @@ from repstab.fbmodules import (
     VFamily,
     WeightTruncateGT,
     WeightTruncateLE,
+    _integer_steps,
     character_at,
     cycle_module_char,
     cycle_poly,
@@ -131,11 +132,21 @@ def test_module_socles_reject_a_non_character(poly, m, message):
     # the socles of a cycle module or a tensor product are read in integers
     # off a polynomial's step list; a polynomial that takes no character at
     # m has a non-integral or a negative multiplicity there
-    from repstab.fbmodules import _module_socles
-
     with pytest.raises(ValueError) as info:
-        _module_socles(parse_poly(poly), m)
+        list(_integer_steps([(parse_poly(poly), m, m)]))
     assert str(info.value) == message
+
+
+def test_module_socles_report_the_first_failing_degree():
+    # read over 0..4, each polynomial fails first below 4: 1/3*X2 at 2, its
+    # first degree with a 2-cycle, and X1 - 2 at 0
+    for poly, message in [
+        ("1/3*X2", "non-integral multiplicity 1/6 for 2"),
+        ("X1 - 2", "negative multiplicity -2 for -"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            list(_integer_steps([(parse_poly(poly), 0, 4)]))
+        assert str(info.value) == message
 
 
 def test_terms_at_projective_and_sum():
@@ -286,6 +297,10 @@ SPEC_ERRORS = [
     ("(cycle 2 y)", "expected an integer, got 'y'", 9),
     ("(cycle ²)", "expected an integer, got '²'", 7),
     ("(proj -²)", "expected an integer, got '-²'", 6),
+    ("(proj -1)", "expected an integer, got '-1'", 6),
+    ("(cycle -1)", "expected an integer, got '-1'", 7),
+    ("(trunc>= -3 (vfam 1))", "expected an integer, got '-3'", 9),
+    ("(wtrunc<= -1 (vfam 1))", "expected an integer, got '-1'", 10),
     ("(tensor (vfam 1))", "(tensor a b) takes exactly two factors", 0),
     ("(tensor (vfam 1) 2)", "expected a sub-expression", 17),
     ("(sum 1)", "expected a sub-expression", 5),

@@ -19,7 +19,6 @@ from repstab.cyclepoly import (
 from repstab.fbmodules import parse_spec
 from repstab.frobenius import (
     binomial_coefficients,
-    decompose_poly,
     frobenius_coefficients,
     frobenius_poly,
     frobenius_poly_of_module,
@@ -28,7 +27,7 @@ from repstab.frobenius import (
 from repstab.partitions import Partition, classes, cycle_types_of, partitions_of
 from repstab.stability import verify_equivalence
 
-from bruteforce import mn_beta_set
+from bruteforce import decompose_poly, mn_beta_set
 
 
 def test_single_row_is_constant_one():
@@ -126,7 +125,7 @@ def library_caches():
 
 def test_caches_are_bounded():
     caches = library_caches()
-    assert "repstab._mnpure._row" in caches and "repstab.fbmodules._socles" in caches
+    assert "repstab._mnpure._row" in caches and "repstab.fbmodules.family_steps" in caches
     for name, cached in caches.items():
         assert cached.cache_info().maxsize is not None, name
 

@@ -21,12 +21,14 @@ from repstab.fbmodules import (
     character_at,
     cycle_poly,
     cycle_poly_product,
+    family_steps,
     format_spec,
     parse_spec,
     socles_at,
     terms_at,
 )
 from repstab.partitions import Partition, partitions_of
+from repstab.pieri import sum_steps
 from repstab.stability import (
     rank_pc_estimate,
     rank_rs_estimate,
@@ -36,6 +38,7 @@ from repstab.stability import (
 )
 
 import lemmas
+from bruteforce import rank_pc_by_walk, rank_rs_by_walk, socles_by_degree
 from lemmas import (
     low_weight_class_function_count,
     matrix_rank,
@@ -294,30 +297,29 @@ def test_cold_pieri_scan_computes_no_class_size(monkeypatch):
 
 
 def test_cold_pieri_scan_builds_its_step_list_once():
-    # the horizontal strips of the base are listed once, and each degree
-    # from the base degree 5 to 28 is read off that one list
+    # the horizontal strips of the base are listed once, into the family's
+    # one step list, and the whole scan reads that list
     from repstab import pieri
 
     _cold_scan('(proj 5 "3,2" "2,2,1" "3,1,1")', 28)
     info = pieri.induced_steps.cache_info()
-    assert (info.misses, info.hits) == (1, 23)
+    assert (info.misses, info.hits) == (1, 0)
 
 
 def test_cold_pieri_scan_sums_each_module_polynomial_once():
-    # the module polynomial depends on the socle multiplicities alone: the
-    # scan reads it at m_max and at every degree of the bound checks, and
-    # sums it once for each distinct socle-multiplicity vector among them
+    # the module polynomial is constant between the starts of the family's
+    # step list: the scan reads it at m_max for rank_pc, then once at each
+    # degree the bound checks visit, lo = max(2 * weight, rank_pc) and every
+    # later start; the bounds keep every start at or below lo
     from repstab import frobenius
 
     text = '(proj 5 "3,2" "2,2,1" "3,1,1")'
     report = _cold_scan(text, 28)
     info = frobenius._module_poly.cache_info()
-    spec = parse_spec(text)
     lo = max(2 * report.poly.weighted_degree(), report.rank_pc)
-    vectors = [terms_at(spec, m, 28).socle_multiplicities() for m in range(lo, 29)]
-    assert len(vectors) > 1
-    assert info.misses == len({frozenset(v.items()) for v in vectors}) == 1
-    assert info.hits == len(vectors)  # m_max is read twice
+    starts = [b for _, b, _ in family_steps(parse_spec(text), 28)]
+    assert starts and max(starts) <= report.rank_rs <= lo < 28
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_cold_cycle_scan_reads_no_class_above_the_weight(monkeypatch):
@@ -510,3 +512,48 @@ def test_rank_rs_is_max_of_rank_pc_and_the_last_step(text):
     n_p = last_net_step(report.poly)
     assert n_p <= 2 * report.poly.weighted_degree() <= 30
     assert report.rank_rs == max(report.rank_pc, n_p), (report.rank_pc, n_p)
+
+
+# -- the step list against the per-degree route --------------------------------
+
+
+def weight_bound(spec):
+    """A bound on |s| over the socles s of the family at every degree."""
+    match spec:
+        case Projective(base=w):
+            return w.m
+        case VFamily(lam=lam) | CycleModule(nu=lam):
+            return lam.size
+        case Tensor(left=left, right=right):
+            return weight_bound(left) + weight_bound(right)
+        case DirectSum(children=children):
+            return max(map(weight_bound, children), default=0)
+        case WeightTruncateLE(child=child, p=p):
+            return min(p, weight_bound(child))
+        case Truncate(child=child) | WeightTruncateGT(child=child):
+            return weight_bound(child)
+
+
+def assert_the_walk_agrees(spec, windows):
+    """Every degree of every window, and both ranks, read off one step list
+    per window, against each degree evaluated on its own."""
+    for window in windows:
+        steps = family_steps(spec, window)
+        for m in range(window + 1):
+            assert sum_steps(steps, m) == socles_by_degree(spec, m), (window, m)
+        assert rank_rs_estimate(spec, window, window) == rank_rs_by_walk(spec, window)
+        assert rank_pc_estimate(spec, window, window) == rank_pc_by_walk(spec, window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(families)
+def test_step_list_against_the_per_degree_route(spec):
+    # window 30 only up to weight 10: the module polynomial at m_max of a
+    # family of weight 18 sums thousands of socles' polynomials, on either route
+    windows = (0, 1, 5, 10, 30) if weight_bound(spec) <= 10 else (0, 1, 5, 10)
+    assert_the_walk_agrees(spec, windows)
+
+
+@pytest.mark.parametrize("text", CI_SPECS)
+def test_ci_specs_against_the_per_degree_route(text):
+    assert_the_walk_agrees(parse_spec(text), (0, 1, 5, 10, 30))
