@@ -6,14 +6,19 @@ sets X_i := its number of i-cycles; lifting the evaluation over every class
 of a fixed degree m gives a class function.
 
 Monomials are stored as tuples of (variable, exponent) pairs sorted by
-variable index, with no zero exponents; coefficients are nonzero
-Fractions.  The weight of the zero polynomial is the sentinel NEG_INF,
-which compares below every integer.
+variable index, with no zero exponents.  The coefficients are integers
+over one denominator: num maps each monomial to a nonzero int and the
+coefficient of mono is num[mono] / den.  Every polynomial is in canonical
+form, den > 0 and gcd(den, *num.values()) == 1, so equal polynomials have
+equal (num, den) and the ring operations run in integers.  The weight of
+the zero polynomial is the sentinel NEG_INF, which compares below every
+integer.
 """
 
 import re
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 from operator import add, mul
 
 from .characters import ClassFunction
@@ -24,7 +29,7 @@ NEG_INF = float("-inf")
 
 
 class CharPolynomial:
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=()):
         clean = {}
@@ -36,55 +41,67 @@ class CharPolynomial:
             for v, e in mono:
                 if v < 1 or e < 1:
                     raise ValueError(f"bad monomial entry X{v}^{e}")
-            clean[mono] = clean.get(mono, Fraction(0)) + coef
-        self.terms = {m: c for m, c in clean.items() if c != 0}
+            clean[mono] = clean.get(mono, 0) + coef
+        den = lcm(*(c.denominator for c in clean.values()))
+        p = CharPolynomial.from_ints({m: int(c * den) for m, c in clean.items()}, den)
+        self.num, self.den = p.num, p.den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_ints(cls, num, den=1):
         """The polynomial with coefficient num[mono] / den at each monomial
-        mono, for den > 0; zero entries are dropped.
-
-        The keys must already be canonical (sorted (variable, exponent)
-        pairs, no zero exponents): unlike __init__, nothing is re-sorted
-        or checked.
-        """
+        mono, den != 0, in canonical form.  The keys must already be
+        canonical: unlike __init__, nothing is re-sorted or checked."""
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        num = {mono: v for mono, v in num.items() if v}
+        g = gcd(den, *num.values()) * (1 if den > 0 else -1)
+        if g != 1:
+            num = {mono: v // g for mono, v in num.items()}
+            den //= g
         p = cls.__new__(cls)
-        p.terms = {mono: Fraction(v, den) for mono, v in num.items() if v}
+        p.num, p.den = num, den
         return p
 
     @classmethod
     def variable(cls, i):
         if i < 1:
             raise ValueError("variables start at X1")
-        return cls({((i, 1),): 1})
+        return cls.from_ints({((i, 1),): 1})
 
     @classmethod
     def constant(cls, c):
-        return cls({(): c})
+        c = Fraction(c)
+        return cls.from_ints({(): c.numerator}, c.denominator)
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls.from_ints({})
 
     @classmethod
     def one(cls):
-        return cls({(): 1})
+        return cls.from_ints({(): 1})
+
+    @property
+    def terms(self):
+        """A fresh {monomial: Fraction coefficient} dict, for reading."""
+        return {mono: Fraction(v, self.den) for mono, v in self.num.items()}
 
     # -- ring structure ------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
-        acc = dict(self.terms)
-        for mono, coef in other.terms.items():
-            acc[mono] = acc.get(mono, Fraction(0)) + coef
-        return CharPolynomial(acc)
+        den = lcm(self.den, other.den)
+        num = {mono: v * (den // self.den) for mono, v in self.num.items()}
+        for mono, v in other.num.items():
+            num[mono] = num.get(mono, 0) + v * (den // other.den)
+        return CharPolynomial.from_ints(num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CharPolynomial({m: -c for m, c in self.terms.items()})
+        return CharPolynomial.from_ints({m: -v for m, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -95,21 +112,18 @@ class CharPolynomial:
     def __mul__(self, other):
         other = _coerce(other)
         acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in self.num.items():
+            for m2, c2 in other.num.items():
                 mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                if mono in acc:
-                    acc[mono] += c
-                else:
-                    acc[mono] = c
-        return CharPolynomial(acc)
+                acc[mono] = acc.get(mono, 0) + c1 * c2
+        return CharPolynomial.from_ints(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, c):
         c = Fraction(c)
-        return CharPolynomial({m: v / c for m, v in self.terms.items()})
+        num = {m: v * c.denominator for m, v in self.num.items()}
+        return CharPolynomial.from_ints(num, self.den * c.numerator)
 
     def __pow__(self, n):
         if n < 0:
@@ -126,24 +140,25 @@ class CharPolynomial:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CharPolynomial.constant(other)
-        return isinstance(other, CharPolynomial) and self.terms == other.terms
+        same_type = isinstance(other, CharPolynomial)
+        return same_type and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     # -- gradings -------------------------------------------------------
 
     def weighted_degree(self):
         """Weight deg_w with deg_w(X_i) = i; NEG_INF for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return NEG_INF
-        return max(sum(v * e for v, e in mono) for mono in self.terms)
+        return max(sum(v * e for v, e in mono) for mono in self.num)
 
     def variables(self):
-        return sorted({v for mono in self.terms for v, _ in mono})
+        return sorted({v for mono in self.num for v, _ in mono})
 
     def __repr__(self):
         return f"CharPolynomial({format_poly(self)!r})"
@@ -183,28 +198,25 @@ def falling_factorial(p, k):
 def eval_rho(poly, cycles):
     """Evaluate at the class with the descending cycle tuple `cycles`:
     X_i := cycles.count(i), the number of i-cycles."""
-    total = Fraction(0)
-    for mono, coef in poly.terms.items():
-        val = coef
+    total = 0
+    for mono, coef in poly.num.items():
         for v, e in mono:
-            val *= cycles.count(v) ** e
-        total += val
-    return total
+            coef *= cycles.count(v) ** e
+        total += coef
+    return Fraction(total, poly.den)
 
 
 def eval_rho_all(poly, m):
     """Lift evaluation over every class of degree m into a ClassFunction.
 
-    The coefficients are brought over one common denominator once; each
-    monomial is then evaluated in integers on all classes at a time, from
-    one column of cycle counts per variable.
+    Each monomial is evaluated in integers on all classes at a time, from
+    one column of cycle counts per variable, over the one denominator.
     """
     cycles = classes(m).cycles
-    den = lcm(*(c.denominator for c in poly.terms.values()))
     num = [0] * len(cycles)
     columns = {}
-    for mono, coef in poly.terms.items():
-        vals = [coef.numerator * (den // coef.denominator)] * len(cycles)
+    for mono, coef in poly.num.items():
+        vals = [coef] * len(cycles)
         for v, e in mono:
             col = columns.get(v)
             if col is None:
@@ -214,28 +226,29 @@ def eval_rho_all(poly, m):
             else:
                 vals = [a * x**e for a, x in zip(vals, col)]
         num = list(map(add, num, vals))
-    return ClassFunction.from_ints(m, num, den)
+    return ClassFunction.from_ints(m, num, poly.den)
 
 
 # -- printing and parsing ---------------------------------------------------
 
 
-def _mono_sort_key(mono):
-    degw = sum(v * e for v, e in mono)
-    return (-degw, mono)
+@lru_cache(maxsize=4096)
+def _monomial(mono):
+    """The sort key of a monomial in format_poly, weight descending then
+    variables lexicographically, and its text."""
+    text = "*".join(f"X{v}" + (f"^{e}" if e > 1 else "") for v, e in mono)
+    return (-sum(v * e for v, e in mono), mono), text
 
 
 def format_poly(poly):
     """Deterministic text form: monomials graded by weight (descending),
     ties broken lexicographically by variable index."""
-    if not poly.terms:
+    if not poly.num:
         return "0"
-    pieces = []
-    for mono in sorted(poly.terms, key=_mono_sort_key):
-        coef = poly.terms[mono]
-        num, den = coef.numerator, coef.denominator
-        body = "*".join(f"X{v}" + (f"^{e}" if e > 1 else "") for v, e in mono)
-        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+    den, pieces = poly.den, []
+    for (_, body), num in sorted((_monomial(mono), v) for mono, v in poly.num.items()):
+        g = gcd(num, den)
+        mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
         if not body:
             text = mag
         elif mag == "1":

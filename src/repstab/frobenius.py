@@ -13,11 +13,13 @@ the element induces on it:
 
     Ind(chi_mu x 1) = sum over rho |- |mu| of chi_mu(rho) prod_i C(X_i, m_i(rho)),
 
-with m_i(rho) the number of i-cycles of rho.  So the polynomial of the
-socle s is sum_rho c_rho B_rho, where each c_rho is an integer sum of
-Murnaghan-Nakayama values and B_rho = prod_i C(X_i, m_i(rho)).  It
-depends only on s, has weight |s|, and evaluates to chi_{s[n]} at every
-admissible degree n.
+with m_i(rho) the number of i-cycles of rho.  So the polynomial F_s of
+the socle s is sum_rho c_rho B_rho, B_rho = prod_i C(X_i, m_i(rho)): it
+depends only on s, has weight |s|, and is chi_{s[n]} at every admissible
+n.  A module's polynomial sum_s n_s F_s takes one route for one socle or
+many: g_mu = sum_s n_s (-1)^{|s/mu|} over the vertical strips s/mu, then
+c_rho = sum_mu g_mu chi_mu(rho), one kernel row per mu, then one integer
+sum over the B_rho.
 
 The way back, from a polynomial P to its multiplicities, runs through
 the same basis.  B_rho taken at degree m is the character induced from
@@ -40,8 +42,8 @@ family the same way.
 """
 
 from functools import lru_cache
-from itertools import product
-from math import factorial, lcm
+from itertools import groupby, repeat
+from math import factorial
 
 from .characters import irr_row
 from .cyclepoly import CharPolynomial
@@ -54,25 +56,56 @@ def frobenius_poly(lam):
     return frobenius_poly_stable(lam.socle())
 
 
-@lru_cache(maxsize=1024)
 def frobenius_poly_stable(soc):
     """The character polynomial shared by every irreducible with socle soc."""
-    coeffs = {}  # descending cycle tuple rho -> c_rho
-    for drop in product((0, 1), repeat=len(soc)):
-        mu = [p - d for p, d in zip(soc, drop)]
-        if any(a < b for a, b in zip(mu, mu[1:])):
-            continue  # mu is no partition, so soc/mu is no vertical strip
-        lam = Partition([p for p in mu if p])
-        sign = -1 if sum(drop) % 2 else 1
-        for rho, value in zip(classes(lam.size).cycles, irr_row(lam)):
-            coeffs[rho] = coeffs.get(rho, 0) + sign * value
-    return _combine((c, _binomial_basis(rho)) for rho, c in coeffs.items() if c)
+    return _poly_of_socles(frozenset([(soc, 1)]))
+
+
+@lru_cache(maxsize=1024)
+def _poly_of_socles(pairs):
+    """The sum of n F_s over the frozenset of pairs (s, n), by the route of
+    the module docstring, over a common denominator of the B_rho."""
+    g = {}
+    for s, n in pairs:
+        for mu, sign in _vertical_strips(s):
+            g[mu] = g.get(mu, 0) + sign * n
+    c = {}  # degree k -> the c_rho over the classes rho of degree k
+    for mu, n in g.items():
+        if n:
+            k = mu.size
+            c[k] = [a + n * x for a, x in zip(c.get(k, repeat(0)), irr_row(mu))]
+    den = factorial(max(c, default=0))  # every prod_i m_i(rho)! divides it
+    num = {}
+    for k, row in c.items():
+        for rho, x in zip(classes(k).cycles, row):
+            if x:
+                b_num, b_den = _binomial_basis(rho)
+                x *= den // b_den
+                for mono, b in b_num.items():
+                    num[mono] = num.get(mono, 0) + x * b
+    return CharPolynomial.from_ints(num, den)
+
+
+def _vertical_strips(soc):
+    """The pairs (mu, (-1)^{|soc/mu|}) over the mu with soc/mu a vertical
+    strip: in each run of equal parts of soc, a suffix of the run (maybe
+    empty) loses one box each, the runs independently of one another."""
+    strips = [((), 1)]  # a part 1 that loses its box leaves no part
+    for part, run in groupby(soc.parts):
+        n = len(tuple(run))
+        strips = [
+            (parts + (part,) * (n - k) + (part - 1,) * (k * (part > 1)), sign * (-1) ** k)
+            for parts, sign in strips
+            for k in range(n + 1)
+        ]
+    return [(Partition.from_parts(parts), sign) for parts, sign in strips]
 
 
 @lru_cache(maxsize=1024)
 def _binomial_basis(rho):
-    """B_rho = prod_i C(X_i, m_i(rho)) for the descending cycle tuple rho:
-    the number of rho-typed stable subsets.
+    """B_rho = prod_i C(X_i, m_i(rho)) for the descending cycle tuple rho,
+    the number of rho-typed stable subsets, as (num, den): B_rho =
+    sum num[mono] / den mono, den > 0.
 
     Each factor is the falling factorial of X_i over m_i!, and the factors
     share no variable, so B_rho is built in integers over prod_i m_i!.
@@ -88,7 +121,7 @@ def _binomial_basis(rho):
             for j, s in enumerate(_falling_coefficients(k))
             if s
         }
-    return CharPolynomial.from_ints(num, den)
+    return num, den
 
 
 @lru_cache(maxsize=64)
@@ -114,28 +147,7 @@ def frobenius_poly_of_socles(socles):
     """The sum of n * frobenius_poly_stable(s) over the socle
     multiplicities {s: n}, cached on them and so shared by every degree
     where they are the same."""
-    return _module_poly(frozenset(socles.items()))
-
-
-@lru_cache(maxsize=1024)
-def _module_poly(socles):
-    """The sum of n * frobenius_poly_stable(s) over the pairs (s, n) of socles."""
-    return _combine((n, frobenius_poly_stable(s)) for s, n in socles)
-
-
-def _combine(pairs):
-    """The sum of c * poly over the (c, poly) pairs, c an integer.
-
-    The sum runs in integers over D, the lcm of every coefficient
-    denominator, and each output coefficient becomes a Fraction once.
-    """
-    pairs = list(pairs)
-    den = lcm(*(b.denominator for _, poly in pairs for b in poly.terms.values()))
-    num = {}
-    for c, poly in pairs:
-        for mono, b in poly.terms.items():
-            num[mono] = num.get(mono, 0) + c * b.numerator * (den // b.denominator)
-    return CharPolynomial.from_ints(num, den)
+    return _poly_of_socles(frozenset(socles.items()))
 
 
 def binomial_coefficients(poly):
@@ -146,10 +158,9 @@ def binomial_coefficients(poly):
     numbers of the second kind, and the powers of a monomial share no
     variable, so the monomial goes to the B_rho with m_i(rho) <= e_i.
     """
-    den = lcm(*(c.denominator for c in poly.terms.values()))
     num = {}
-    for mono, coef in poly.terms.items():
-        terms = {(): coef.numerator * (den // coef.denominator)}
+    for mono, coef in poly.num.items():
+        terms = {(): coef}
         for i, e in reversed(mono):  # descending variables give descending tuples
             terms = {
                 rho + (i,) * j: c * s
@@ -159,7 +170,7 @@ def binomial_coefficients(poly):
             }
         for rho, c in terms.items():
             num[rho] = num.get(rho, 0) + c
-    return {rho: c for rho, c in num.items() if c}, den
+    return {rho: c for rho, c in num.items() if c}, poly.den
 
 
 @lru_cache(maxsize=64)

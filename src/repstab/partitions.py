@@ -22,7 +22,7 @@ from .errors import ParseError
 class Partition:
     """Weakly decreasing tuple of positive integers (possibly empty)."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_hash")  # a partition is a dict key everywhere
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts)
@@ -32,6 +32,7 @@ class Partition:
             if i and parts[i - 1] < p:
                 raise ValueError(f"partition parts must be weakly decreasing: {parts}")
         self.parts = parts
+        self._hash = hash(parts)
 
     @classmethod
     def from_parts(cls, parts):
@@ -40,6 +41,7 @@ class Partition:
         converted or checked."""
         lam = cls.__new__(cls)
         lam.parts = parts
+        lam._hash = hash(parts)
         return lam
 
     @property
@@ -62,7 +64,7 @@ class Partition:
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.parts)
+        return self._hash
 
     def __lt__(self, other):
         return self.parts < other.parts

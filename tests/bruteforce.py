@@ -10,10 +10,11 @@ composed step list.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
-from repstab.characters import ClassFunction
+from repstab.characters import ClassFunction, irr_row
+from repstab.cyclepoly import CharPolynomial, X, falling_factorial
 from repstab.errors import BudgetError
 from repstab.fbmodules import (
     CycleModule,
@@ -27,7 +28,7 @@ from repstab.fbmodules import (
     cycle_poly_product,
 )
 from repstab.frobenius import frobenius_poly_of_socles, socle_steps
-from repstab.partitions import Partition, cycle_types_of, format_cycle_type
+from repstab.partitions import Partition, classes, cycle_types_of, format_cycle_type
 from repstab.pieri import induced_steps, sum_steps
 
 # direct enumeration of S_m stops being reasonable past this degree
@@ -370,6 +371,56 @@ def ref_json(m, a):
 @lru_cache(maxsize=None)
 def _class_sizes(m):
     return class_sizes_by_enumeration(m)
+
+
+# -- character polynomials socle by socle ----------------------------------------
+#
+# The library sums the vertical strips of every socle into one g_mu per mu
+# and reads one kernel row per mu (frobenius._poly_of_socles).  These build
+# each socle's polynomial on its own: every one of the 2^len(s) ways to take
+# at most one box off each row is tried and kept when a partition is left,
+# the binomial basis comes from ring arithmetic, and the socles' polynomials
+# are summed coefficient by coefficient in Fractions.
+
+
+def vertical_strips_by_drops(soc):
+    """{mu: (-1)^{|soc/mu|}} over the mu with soc/mu a vertical strip."""
+    strips = {}
+    for drop in product((0, 1), repeat=len(soc)):
+        mu = [p - d for p, d in zip(soc, drop)]
+        if any(a < b for a, b in zip(mu, mu[1:])):
+            continue  # mu is no partition, so soc/mu is no vertical strip
+        strips[Partition([p for p in mu if p])] = -1 if sum(drop) % 2 else 1
+    return strips
+
+
+@lru_cache(maxsize=None)
+def stable_poly_by_drops(soc):
+    """frobenius_poly_stable(soc): sum over rho of c_rho prod_i
+    C(X_i, m_i(rho)), c_rho = sum of (-1)^{|soc/mu|} chi_mu(rho) over the
+    vertical strips soc/mu."""
+    coeffs = {}
+    for mu, sign in vertical_strips_by_drops(soc).items():
+        for rho, value in zip(classes(mu.size).cycles, irr_row(mu)):
+            coeffs[rho] = coeffs.get(rho, 0) + sign * value
+    total = CharPolynomial.zero()
+    for rho, c in coeffs.items():
+        term = CharPolynomial.constant(c)
+        for i in set(rho):
+            k = rho.count(i)
+            term = term * falling_factorial(X(i), k) / factorial(k)
+        total = total + term
+    return total
+
+
+def poly_of_socles_by_sum(socles):
+    """frobenius_poly_of_socles(socles): the sum of n * stable_poly_by_drops(s)
+    over the socle multiplicities {s: n}, in Fractions."""
+    total = {}
+    for s, n in socles.items():
+        for mono, coef in stable_poly_by_drops(s).terms.items():
+            total[mono] = total.get(mono, Fraction(0)) + n * coef
+    return CharPolynomial(total)
 
 
 # -- a family degree by degree -------------------------------------------------

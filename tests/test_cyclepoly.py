@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,3 +236,73 @@ def test_from_ints_matches_fraction_constructor(num, den):
     p = CharPolynomial.from_ints(num, den)
     assert p == CharPolynomial({mono: Fraction(v, den) for mono, v in num.items()})
     assert set(p.terms) == {mono for mono, v in num.items() if v}
+
+
+# -- integers over one denominator, against dicts of Fractions -------------------
+
+
+def _dict_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            mono = tuple(sorted(exps.items()))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return out
+
+
+def _dict_lin(a, b, sign):
+    out = dict(a)
+    for mono, c in b.items():
+        out[mono] = out.get(mono, 0) + sign * c
+    return out
+
+
+def _canonical(p):
+    """p, after checking that it is in canonical form and reads back from
+    its text."""
+    assert p.den > 0 and gcd(p.den, *p.num.values()) == 1
+    assert all(type(v) is int and v for v in p.num.values())
+    assert parse_poly(format_poly(p)) == p
+    return p
+
+
+fraction_dicts = st.dictionaries(
+    monomials, st.fractions(min_value=-5, max_value=5, max_denominator=12), max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fraction_dicts,
+    fraction_dicts,
+    st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+    st.integers(0, 3),
+)
+def test_ring_operations_against_fraction_dicts(a, b, c, e):
+    p, q = _canonical(CharPolynomial(a)), _canonical(CharPolynomial(b))
+    power = {(): 1}
+    for _ in range(e):
+        power = _dict_mul(power, a)
+    for got, expected in [
+        (p + q, _dict_lin(a, b, 1)),
+        (p - q, _dict_lin(a, b, -1)),
+        (p * q, _dict_mul(a, b)),
+        (p / c, {mono: v / c for mono, v in a.items()}),
+        (p**e, power),
+        (c - p, _dict_lin({(): c}, a, -1)),
+        (-p, {mono: -v for mono, v in a.items()}),
+    ]:
+        expected = {mono: Fraction(v) for mono, v in expected.items() if v}
+        assert _canonical(got).terms == expected
+        # the same polynomial from a scaled numerator over a negative denominator
+        den = 7 * lcm(*(v.denominator for v in expected.values()))
+        same = CharPolynomial.from_ints(
+            {mono: -v.numerator * (den // v.denominator) for mono, v in expected.items()},
+            -den,
+        )
+        assert _canonical(same) == got and hash(same) == hash(got)
+    assert ((p + q) - q == p) and hash((p + q) - q) == hash(p)
+    assert (p == c) == ({mono: v for mono, v in a.items() if v} == {(): c})

@@ -15,6 +15,7 @@ from repstab.cyclepoly import (
     eval_rho,
     eval_rho_all,
     falling_factorial,
+    format_poly,
 )
 from repstab.fbmodules import parse_spec
 from repstab.frobenius import (
@@ -22,12 +23,19 @@ from repstab.frobenius import (
     frobenius_coefficients,
     frobenius_poly,
     frobenius_poly_of_module,
+    frobenius_poly_of_socles,
     frobenius_poly_stable,
 )
 from repstab.partitions import Partition, classes, cycle_types_of, partitions_of
 from repstab.stability import verify_equivalence
 
-from bruteforce import decompose_poly, mn_beta_set
+from bruteforce import (
+    decompose_poly,
+    mn_beta_set,
+    poly_of_socles_by_sum,
+    stable_poly_by_drops,
+    vertical_strips_by_drops,
+)
 
 
 def test_single_row_is_constant_one():
@@ -109,6 +117,34 @@ def test_stable_polys_match_beta_set_reference():
                 assert value.num == expected, (soc, n)
 
 
+def test_vertical_strips_match_the_drop_filter():
+    for size in range(11):
+        for soc in partitions_of(size):
+            strips = frobenius._vertical_strips(soc)
+            assert len(strips) == len(dict(strips)), soc  # no mu listed twice
+            assert dict(strips) == vertical_strips_by_drops(soc), soc
+
+
+def test_stable_polys_match_the_per_socle_route():
+    for size in range(9):
+        for soc in partitions_of(size):
+            assert frobenius_poly_stable(soc) == stable_poly_by_drops(soc), soc
+
+
+socle_multiplicities = st.dictionaries(
+    st.integers(0, 7).flatmap(lambda k: st.sampled_from(partitions_of(k))),
+    st.integers(-3, 3),
+    max_size=6,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(socle_multiplicities)
+def test_module_polynomial_matches_the_per_socle_sum(socles):
+    # zero multiplicities included: they add nothing
+    assert frobenius_poly_of_socles(socles) == poly_of_socles_by_sum(socles)
+
+
 def library_caches():
     """{qualified name: function} for every lru_cache defined at the top
     level of a repstab module, found by importing each module."""
@@ -125,7 +161,13 @@ def library_caches():
 
 def test_caches_are_bounded():
     caches = library_caches()
-    assert "repstab._mnpure._row" in caches and "repstab.fbmodules.family_steps" in caches
+    for name in [
+        "repstab._mnpure._row",
+        "repstab.fbmodules.family_steps",
+        "repstab.frobenius._binomial_basis",
+        "repstab.cyclepoly._monomial",
+    ]:
+        assert name in caches, name
     for name, cached in caches.items():
         assert cached.cache_info().maxsize is not None, name
 
@@ -136,26 +178,28 @@ def test_clear_caches_empties_every_cache():
         ('(proj 5 "3,2" "2,2,1" "3,1,1")', 28),
         ("(tensor (vfam 2,1) (vfam 1))", 17),
     ]:
-        verify_equivalence(parse_spec(text), m_max, budget=m_max)
+        format_poly(verify_equivalence(parse_spec(text), m_max, budget=m_max).poly)
     caches = library_caches()
 
     def sizes():
         return {name: c.cache_info().currsize for name, c in caches.items()}
 
-    assert sum(sizes().values()) > 0
+    assert sizes()["repstab.cyclepoly._monomial"] > 0
+    assert sizes()["repstab.frobenius._binomial_basis"] > 0
     repstab.clear_caches()
     assert {name: n for name, n in sizes().items() if n} == {}
 
 
 def test_binomial_basis_against_ring_arithmetic():
-    # built in integers over prod m_i!; checked against generic products
+    # built in integers over prod m_i!, which the leading coefficient 1
+    # leaves in canonical form; checked against generic products
     for n in range(11):
         for rho in classes(n).cycles:
             expected = CharPolynomial.one()
             for i in set(rho):
                 k = rho.count(i)
                 expected = expected * falling_factorial(X(i), k) / factorial(k)
-            assert frobenius._binomial_basis(rho) == expected, rho
+            assert frobenius._binomial_basis(rho) == (expected.num, expected.den), rho
 
 
 def test_falling_coefficients_against_ring_arithmetic():
@@ -236,7 +280,7 @@ def _fractions(pair):
 def test_binomial_coefficients_round_trip(poly):
     total = CharPolynomial.zero()
     for rho, c in _fractions(binomial_coefficients(poly)).items():
-        total = total + c * frobenius._binomial_basis(rho)
+        total = total + c * CharPolynomial.from_ints(*frobenius._binomial_basis(rho))
     assert total == poly
 
 

@@ -315,7 +315,7 @@ def test_cold_pieri_scan_sums_each_module_polynomial_once():
 
     text = '(proj 5 "3,2" "2,2,1" "3,1,1")'
     report = _cold_scan(text, 28)
-    info = frobenius._module_poly.cache_info()
+    info = frobenius._poly_of_socles.cache_info()
     lo = max(2 * report.poly.weighted_degree(), report.rank_pc)
     starts = [b for _, b, _ in family_steps(parse_spec(text), 28)]
     assert starts and max(starts) <= report.rank_rs <= lo < 28
