@@ -36,14 +36,20 @@ s[m] once when s[m]/mu is a horizontal strip, that is when
 m - |s| >= mu_1 >= s_1 >= mu_2 >= s_2 >= ...: mu/s is a horizontal strip
 and m >= |s| + mu_1.  So the multiplicity of s[m] in P at m is a step
 function of m, read off the f_mu of degree <= weight(P) without any
-class of degree m.  Its entries (s, |s| + mu_1, f_mu) (socle_steps) come
-from pieri.horizontal_strip_steps, which lists the steps of an induced
-family the same way.
+class of degree m.  Its entries (s, |s| + mu_1, f_mu) come from
+pieri.horizontal_strip_steps, which lists the steps of an induced family
+the same way.  For a module polynomial sum_s n_s F_s the f_mu are its
+g_mu (orthogonality of the kernel rows), integers already summed on the
+way out, so module_steps lists them directly; socle_steps takes any
+other polynomial through the basis B_rho and the kernel rows.  Both key
+one bounded cache of lists by the numerators of the f_mu in lowest
+terms, listed in one order, so a cycle module's polynomial and the same
+polynomial rebuilt from its socles share one list.
 """
 
 from functools import lru_cache
 from itertools import groupby, repeat
-from math import factorial
+from math import factorial, gcd
 
 from .characters import irr_row
 from .cyclepoly import CharPolynomial
@@ -65,31 +71,46 @@ def frobenius_poly_stable(soc):
 def _poly_of_socles(pairs):
     """The sum of n F_s over the frozenset of pairs (s, n), by the route of
     the module docstring, over a common denominator of the B_rho."""
-    g = {}
-    for s, n in pairs:
-        for mu, sign in _vertical_strips(s):
-            g[mu] = g.get(mu, 0) + sign * n
     c = {}  # degree k -> the c_rho over the classes rho of degree k
-    for mu, n in g.items():
-        if n:
-            k = mu.size
-            c[k] = [a + n * x for a, x in zip(c.get(k, repeat(0)), irr_row(mu))]
+    for mu, n in _strip_coefficients(pairs).items():
+        k = mu.size
+        c[k] = [a + n * x for a, x in zip(c.get(k, repeat(0)), irr_row(mu))]
     den = factorial(max(c, default=0))  # every prod_i m_i(rho)! divides it
     num = {}
     for k, row in c.items():
-        for rho, x in zip(classes(k).cycles, row):
+        bases, cycles = _binomial_bases(k), classes(k).cycles
+        for j, x in enumerate(row):
             if x:
-                b_num, b_den = _binomial_basis(rho)
+                if bases[j] is None:
+                    bases[j] = _binomial_basis(cycles[j])
+                b_num, b_den = bases[j]
                 x *= den // b_den
                 for mono, b in b_num.items():
                     num[mono] = num.get(mono, 0) + x * b
     return CharPolynomial.from_ints(num, den)
 
 
+@lru_cache(maxsize=1024)
+def _strip_coefficients(pairs):
+    """{mu: g_mu}, g_mu = sum of n (-1)^{|s/mu|} over the pairs (s, n) of
+    the frozenset pairs and the vertical strips s/mu, zero entries dropped:
+    the f_mu of the sum of the n F_s.  Summed on the parts of mu, so each
+    mu becomes a Partition once, and ordered by |mu|, each degree as
+    partitions_of lists it (descending parts)."""
+    g = {}
+    for s, n in pairs:
+        for parts, sign in _vertical_strips(s):
+            g[parts] = g.get(parts, 0) + sign * n
+    ordered = sorted(g.items(), reverse=True)
+    ordered.sort(key=lambda item: sum(item[0]))  # stable: keeps the order in a degree
+    return {Partition.from_parts(parts): n for parts, n in ordered if n}
+
+
 def _vertical_strips(soc):
-    """The pairs (mu, (-1)^{|soc/mu|}) over the mu with soc/mu a vertical
-    strip: in each run of equal parts of soc, a suffix of the run (maybe
-    empty) loses one box each, the runs independently of one another."""
+    """The pairs (parts of mu, (-1)^{|soc/mu|}) over the mu with soc/mu a
+    vertical strip: in each run of equal parts of soc, a suffix of the run
+    (maybe empty) loses one box each, the runs independently of one
+    another."""
     strips = [((), 1)]  # a part 1 that loses its box leaves no part
     for part, run in groupby(soc.parts):
         n = len(tuple(run))
@@ -98,10 +119,17 @@ def _vertical_strips(soc):
             for parts, sign in strips
             for k in range(n + 1)
         ]
-    return [(Partition.from_parts(parts), sign) for parts, sign in strips]
+    return strips
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=64)
+def _binomial_bases(k):
+    """The _binomial_basis of every class of degree k, in classes(k).cycles
+    order, as a list that holds None for each one not yet built: a
+    polynomial may read a few classes of a degree, a module all of them."""
+    return [None] * len(classes(k).cycles)
+
+
 def _binomial_basis(rho):
     """B_rho = prod_i C(X_i, m_i(rho)) for the descending cycle tuple rho,
     the number of rho-typed stable subsets, as (num, den): B_rho =
@@ -186,7 +214,8 @@ def _power_coefficients(e):
 def frobenius_coefficients(poly, top=None):
     """The f_mu of poly: (num, den) with f_mu = num[mu] / den for every
     partition mu with |mu| <= top (default: all of them, up to the weight
-    of poly), den > 0, zero entries dropped.
+    of poly), den > 0, zero entries dropped, num in the order of
+    _strip_coefficients.
 
     Only kernel rows of degree <= top, and <= weight(poly), are read.
     """
@@ -198,7 +227,7 @@ def frobenius_coefficients(poly, top=None):
             by_degree.setdefault(k, []).append((rho, c))
     scale = factorial(max(by_degree, default=0))  # every z_rho divides it
     num = {}
-    for k, pairs in by_degree.items():
+    for k, pairs in sorted(by_degree.items()):
         index = classes(k).index
         weights = [(index[rho], c * (scale // centralizer_order(rho))) for rho, c in pairs]
         for mu in partitions_of(k):
@@ -215,6 +244,25 @@ def socle_steps(poly, top):
     and the s with mu/s a horizontal strip, sorted by their start
     |s| + mu_1, and den: the multiplicity of s[m] in poly at m is the sum
     of num[mu] / den over the entries for s that start at or below m.
+    num[mu] / den is f_mu in lowest terms.
     """
     num, den = frobenius_coefficients(poly, top)
-    return horizontal_strip_steps(num), den
+    common = gcd(den, *num.values())
+    return _strip_steps(tuple((mu, f // common) for mu, f in num.items())), den // common
+
+
+def module_steps(socles, top):
+    """socle_steps of the module polynomial of the socle multiplicities
+    {s: n} (frobenius_poly_of_socles) up to top, read off its g_mu, which
+    are its f_mu in integers: the entries alone, over the denominator 1."""
+    g = _strip_coefficients(frozenset(socles.items()))
+    return _strip_steps(tuple((mu, n) for mu, n in g.items() if mu.size <= top))
+
+
+@lru_cache(maxsize=1024)
+def _strip_steps(coefficients):
+    """horizontal_strip_steps of the pairs (mu, f), listed in the order of
+    _strip_coefficients, which frobenius_coefficients shares: a set read
+    off a polynomial and the same set read off socles are one key, their
+    list is built once, and the entries of one start keep that order."""
+    return horizontal_strip_steps(dict(coefficients))

@@ -20,6 +20,7 @@ changing once m reaches the last start, |nu| + nu_1 for the widest nu.
 
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .characters import IrrDecomposition
 from .partitions import Partition
@@ -34,6 +35,7 @@ def horizontal_strip_steps(weights):
     for s that starts at or below m, and no other irreducible.
     """
     steps = []
+    socles = {}  # parts -> one Partition per s, so dicts of s match by identity
     for mu, f in weights.items():
         first = mu.parts[0] if mu else 0
         ranges = (range(lo, hi + 1) for lo, hi in zip(mu.parts[1:] + (0,), mu.parts))
@@ -41,8 +43,11 @@ def horizontal_strip_steps(weights):
             # only the last part can be 0: s_i >= mu_(i+1) >= 1 before it
             if parts and not parts[-1]:
                 parts = parts[:-1]
-            steps.append((Partition.from_parts(parts), sum(parts) + first, f))
-    return tuple(sorted(steps, key=lambda entry: entry[1]))
+            s = socles.get(parts)
+            if s is None:
+                s = socles[parts] = Partition.from_parts(parts)
+            steps.append((s, sum(parts) + first, f))
+    return tuple(sorted(steps, key=itemgetter(1)))
 
 
 @lru_cache(maxsize=1024)

@@ -6,15 +6,14 @@ the family's net step list up to m_max (fbmodules.family_steps), built
 once per scan; it builds no decomposition and touches no conjugacy class
 of the degrees it scans.  rank_rs_estimate is the last start of the list,
 or the degree from which the occurring socles are admissible if that is
-later.  rank_pc_estimate compares the list with the step list of one
-fixed polynomial P in the cycle-count variables (frobenius.socle_steps,
-built from classes of degree at most the weight of P, in integers over
-one denominator): the rank is where their difference last stops
-vanishing.  Both are certified only on the scanned window [0, m_max]:
-the estimators verify, they do not prove.  verify_equivalence runs both
-and checks the bounds relating the two ranks at the breakpoints of the
-list; tensor_weight and tensor_weight_bound_holds serve the tensorweight
-command.
+later.  rank_pc_estimate compares the list with the step list of the
+module polynomial P of the socles at m_max (frobenius.module_steps, read
+in integers off the signed vertical-strip sums g_mu that build P): the
+rank is where their difference last stops vanishing.  Both are
+certified only on the scanned window [0, m_max]: the estimators verify,
+they do not prove.  verify_equivalence runs both and checks the bounds
+relating the two ranks at the breakpoints of the list; tensor_weight and
+tensor_weight_bound_holds serve the tensorweight command.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from operator import itemgetter
 from .characters import decompose, irr_character
 from .cyclepoly import CharPolynomial, format_poly
 from .fbmodules import DEFAULT_BUDGET, check_budget, family_steps, format_spec
-from .frobenius import frobenius_poly_of_socles, socle_steps
+from .frobenius import frobenius_poly_of_socles, module_steps
 from .partitions import format_partition
 from .pieri import prefix_sums, sum_steps
 
@@ -91,18 +90,19 @@ def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     candidate already fails at m_max - 1.
 
     Two class functions of one degree are equal exactly when their
-    decompositions are.  D, P's step list (frobenius.socle_steps) minus
-    den times the family's, sums at each degree to den times the difference
-    of their multiplicities; N is the degree from which D sums to zero
-    below m_max.  An entry for mu starts at or above |mu|, so P's list
-    taken at min(m_max, weight of P) holds every entry up to m_max, and
-    no class above the weight of P is read.
+    decompositions are.  D, P's step list minus the family's, sums at each
+    degree to the difference of their multiplicities; N is the degree from
+    which D sums to zero below m_max.  P's list is read in integers off the
+    g_mu that built P (frobenius.module_steps); an entry for mu starts at
+    or above |mu|, so the mu with |mu| <= m_max give every entry up to
+    m_max.
     """
     check_budget(m_max, budget)
     steps = family_steps(spec, m_max)
-    poly = frobenius_poly_of_socles(sum_steps(steps, m_max))
-    p_steps, den = socle_steps(poly, min(m_max, poly.weighted_degree()))
-    diff = sorted(p_steps + tuple((s, b, -den * d) for s, b, d in steps), key=itemgetter(1))
+    socles = sum_steps(steps, m_max)
+    poly = frobenius_poly_of_socles(socles)
+    p_steps = module_steps(socles, m_max)
+    diff = sorted(p_steps + tuple((s, b, -d) for s, b, d in steps), key=itemgetter(1))
     starts = sorted({0}.union(b for _, b, _ in diff if b < m_max))
     ends = starts[1:] + [m_max]
     n = max((end for end, sums in zip(ends, prefix_sums(diff, starts)) if sums), default=0)

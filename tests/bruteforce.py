@@ -443,6 +443,14 @@ def decompose_poly(poly, m):
     return {s: Fraction(n, den) for s, n in sum_steps(steps, m).items()}
 
 
+def module_steps_by_round_trip(socles, top):
+    """frobenius.module_steps(socles, top) with its denominator, the way
+    back from the module polynomial: expanded in the binomial basis, read
+    through the kernel rows into its f_mu, then listed strip by strip."""
+    poly = frobenius_poly_of_socles(socles)
+    return socle_steps(poly, min(top, poly.weighted_degree()))
+
+
 @lru_cache(maxsize=4096)
 def socles_by_degree(spec, m):
     """{s: multiplicity of s[m]} of the family at degree m, zero entries dropped."""

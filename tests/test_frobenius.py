@@ -25,6 +25,7 @@ from repstab.frobenius import (
     frobenius_poly_of_module,
     frobenius_poly_of_socles,
     frobenius_poly_stable,
+    module_steps,
 )
 from repstab.partitions import Partition, classes, cycle_types_of, partitions_of
 from repstab.stability import verify_equivalence
@@ -32,6 +33,7 @@ from repstab.stability import verify_equivalence
 from bruteforce import (
     decompose_poly,
     mn_beta_set,
+    module_steps_by_round_trip,
     poly_of_socles_by_sum,
     stable_poly_by_drops,
     vertical_strips_by_drops,
@@ -120,7 +122,7 @@ def test_stable_polys_match_beta_set_reference():
 def test_vertical_strips_match_the_drop_filter():
     for size in range(11):
         for soc in partitions_of(size):
-            strips = frobenius._vertical_strips(soc)
+            strips = [(Partition(mu), sign) for mu, sign in frobenius._vertical_strips(soc)]
             assert len(strips) == len(dict(strips)), soc  # no mu listed twice
             assert dict(strips) == vertical_strips_by_drops(soc), soc
 
@@ -164,7 +166,9 @@ def test_caches_are_bounded():
     for name in [
         "repstab._mnpure._row",
         "repstab.fbmodules.family_steps",
-        "repstab.frobenius._binomial_basis",
+        "repstab.frobenius._binomial_bases",
+        "repstab.frobenius._strip_coefficients",
+        "repstab.frobenius._strip_steps",
         "repstab.cyclepoly._monomial",
     ]:
         assert name in caches, name
@@ -185,7 +189,8 @@ def test_clear_caches_empties_every_cache():
         return {name: c.cache_info().currsize for name, c in caches.items()}
 
     assert sizes()["repstab.cyclepoly._monomial"] > 0
-    assert sizes()["repstab.frobenius._binomial_basis"] > 0
+    assert sizes()["repstab.frobenius._binomial_bases"] > 0
+    assert sizes()["repstab.frobenius._strip_steps"] > 0
     repstab.clear_caches()
     assert {name: n for name, n in sizes().items() if n} == {}
 
@@ -297,6 +302,18 @@ def test_frobenius_coefficients_of_stable_polynomials():
                         expected[mu] = (-1) ** (size - k)
             got = _fractions(frobenius_coefficients(frobenius_poly_stable(s)))
             assert got == expected, s
+
+
+@settings(max_examples=80, deadline=None)
+@given(socle_multiplicities, st.integers(0, 10))
+def test_module_steps_match_the_round_trip(socles, top):
+    # tops below and above the weight; the g_mu are the f_mu of the sum of
+    # the n F_s, in integers, so the way back reduces to the denominator 1
+    g = frobenius._strip_coefficients(frozenset(socles.items()))
+    assert _fractions(frobenius_coefficients(poly_of_socles_by_sum(socles))) == g
+    steps, den = module_steps_by_round_trip(socles, top)
+    assert den == 1
+    assert module_steps(socles, top) == steps
 
 
 @settings(max_examples=40, deadline=None)

@@ -124,7 +124,8 @@ def test_contradictions_raise(monkeypatch):
     # both checks guard conclusions the theory rules out; force them to fire
     import repstab.stability as stability
 
-    monkeypatch.setattr(stability, "frobenius_poly_of_socles", lambda dec: CharPolynomial.one())
+    # an empty step list for P: D sums to the family's negated multiplicities
+    monkeypatch.setattr(stability, "module_steps", lambda socles, top: ())
     with pytest.raises(RuntimeError):
         rank_pc_estimate(CycleModule(P(1)), 4)
     zero = eval_rho_all(CharPolynomial.zero(), 6)
@@ -319,6 +320,14 @@ def test_cold_pieri_scan_sums_each_module_polynomial_once():
     lo = max(2 * report.poly.weighted_degree(), report.rank_pc)
     starts = [b for _, b, _ in family_steps(parse_spec(text), 28)]
     assert starts and max(starts) <= report.rank_rs <= lo < 28
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_cold_cycle_scan_builds_its_polynomial_steps_once():
+    # the family's list comes from the cycle polynomial's f_mu, rank_pc's
+    # from the g_mu of the socles at m_max: one coefficient set, one build
+    _cold_scan("(cycle 3 2)", 20)
+    info = frobenius._strip_steps.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
