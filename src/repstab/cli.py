@@ -1,17 +1,17 @@
 """Command-line front end.
 
-Subcommands: chartable, frobpoly, pieri, decompose, cyclepoly, rho,
-rankscan, tensorweight.  Every command takes --json for a versioned JSON
-document instead of the text table and --budget to override the cap on
-the degree.  Exit codes:
+Subcommands, one row each of _COMMANDS: chartable, frobpoly, pieri,
+decompose, cyclepoly, rho, rankscan, tensorweight.  Every command takes
+--json for a versioned JSON document instead of the text table, --budget
+to override the cap on the degree and -h or --help.  Exit codes:
 0 success, 1 usage or parse error, 2 budget exceeded, 3 a theorem bound
 check failed.
 """
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .characters import ClassFunction, character_table, decompose
 from .cyclepoly import eval_rho_all, format_poly, parse_poly
@@ -38,95 +38,106 @@ class _ArgumentError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _ArgumentError(message)
+# command -> (positionals, required options, one-line help); every command
+# also takes --json and --budget
+_COMMANDS = {
+    "chartable": (("m",), (), "character table of degree m"),
+    "frobpoly": (("label",), (), "character polynomial of label: 4,1 or socle:2,1"),
+    "pieri": (("nu", "m"), (), "horizontal-strip expansion of nu (e.g. 3,2,2) at m"),
+    "decompose": ((), ("m", "values"), "decompose one rational per cycle type of m"),
+    "cyclepoly": (("ell",), (), "commuting-cycle count polynomial"),
+    "rho": ((), ("poly", "m"), "evaluate a polynomial on the classes of degree m"),
+    "rankscan": ((), ("spec", "mmax"), "stability report for a family expression"),
+    "tensorweight": (("lam", "mu", "m"), (), "weight of a tensor product of irreducibles"),
+}
+_KINDS = {"budget": "nonnegative int", "m": "int", "ell": "int", "mmax": "int"}
 
 
-def _nonnegative_int(text):
-    """The argparse type of --budget: an int >= 0, else a usage error."""
+def _help(commands):
+    """Usage, one row per command of commands, the common options, exit codes."""
+    rows = (
+        (" ".join([c, *pos, *(f"--{o} {o.upper()}" for o in req)]), text)
+        for c in commands
+        for pos, req, text in [_COMMANDS[c]]
+    )
+    return "\n".join([
+        "usage: repstab COMMAND ... [--json] [--budget BUDGET]\n",
+        *(f"  {row:<32}  {text}" for row, text in rows),
+        "\n  --json           emit JSON (schema 1)",
+        f"  --budget BUDGET  cap on the degree (default {DEFAULT_BUDGET}): on m, on --mmax "
+        "for rankscan, on the socle size for frobpoly",
+        "\nexit codes: 0 ok, 1 bad input, 2 budget exceeded, 3 bound check failed",
+    ])
+
+
+def _value(name, label, text):
+    """text as the value of the argument name, shown as label in errors."""
+    kind = _KINDS.get(name)
+    if kind is None:
+        return text
     try:
-        if int(text) >= 0:
+        if int(text) >= 0 or kind == "int":
             return int(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"invalid nonnegative int value: {text!r}")
+    raise _ArgumentError(f"argument {label}: invalid {kind} value: {text!r}")
 
 
-def _build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON (schema 1)")
-    common.add_argument(
-        "--budget",
-        type=_nonnegative_int,
-        default=DEFAULT_BUDGET,
-        help=(
-            f"cap on the degree (default {DEFAULT_BUDGET}): on m for the commands that "
-            "run over the p(m) classes of degree m, on --mmax for rankscan, on the "
-            "socle size for frobpoly"
-        ),
-    )
-
-    parser = _Parser(prog="repstab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chartable", parents=[common], help="character table of degree m")
-    p.add_argument("m", type=int)
-
-    p = sub.add_parser(
-        "frobpoly", parents=[common], help="character polynomial of an irreducible"
-    )
-    p.add_argument("label", help="a partition like 4,1 or socle:2,1")
-
-    p = sub.add_parser("pieri", parents=[common], help="horizontal-strip expansion")
-    p.add_argument("nu", help="base partition, e.g. 3,2,2")
-    p.add_argument("m", type=int)
-
-    p = sub.add_parser(
-        "decompose", parents=[common], help="decompose a class function"
-    )
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument(
-        "--values",
-        required=True,
-        help="comma-separated rationals, one per cycle type of m in canonical order",
-    )
-
-    p = sub.add_parser(
-        "cyclepoly", parents=[common], help="commuting-cycle count polynomial"
-    )
-    p.add_argument("ell", type=int)
-
-    p = sub.add_parser("rho", parents=[common], help="evaluate a polynomial on classes")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser(
-        "rankscan", parents=[common], help="stability report for a family expression"
-    )
-    p.add_argument("--spec", required=True)
-    p.add_argument("--mmax", type=int, required=True)
-
-    p = sub.add_parser(
-        "tensorweight", parents=[common], help="weight of a tensor product of irreducibles"
-    )
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("m", type=int)
-
-    return parser
-
-
-_PARSER = _build_parser()
+def _parse(argv):
+    """The arguments of argv as read off _COMMANDS, or the help text when
+    -h or --help is given.  An option takes the text after '=' or else the
+    next token as its value, as given; any other token is the next
+    positional.  _ArgumentError on a usage error."""
+    if not argv:
+        raise _ArgumentError("the following arguments are required: command")
+    command, tokens = argv[0], iter(argv[1:])
+    if command in ("-h", "--help"):
+        return _help(_COMMANDS)
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _ArgumentError(f"argument command: invalid choice: {command!r} "
+                             f"(choose from {choices})")
+    positionals, required, _ = _COMMANDS[command]
+    args = {"command": command, "json": False, "budget": DEFAULT_BUDGET}
+    todo, extra = list(positionals), []
+    for token in tokens:
+        name, eq, value = token[2:].partition("=")
+        if token in ("-h", "--help"):
+            return _help([command])
+        if not token.startswith("--"):
+            if todo:
+                name = todo.pop(0)
+                args[name] = _value(name, name, token)
+            else:
+                extra.append(token)
+        elif name == "json" and not eq:
+            args["json"] = True
+        elif name == "json":
+            raise _ArgumentError(f"argument --json: ignored explicit argument {value!r}")
+        elif name == "budget" or name in required:
+            if not eq and (value := next(tokens, None)) is None:
+                raise _ArgumentError(f"argument --{name}: expected one argument")
+            args[name] = _value(name, f"--{name}", value)
+        else:
+            extra.append(token)
+    missing = todo + [f"--{name}" for name in required if name not in args]
+    if missing:
+        raise _ArgumentError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise _ArgumentError(f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(**args)
 
 
 def run(argv):
     """Execute one invocation; returns the exit code, output on stdout."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if isinstance(args, str):
+        print(args)
+        return EXIT_OK
     handler = _HANDLERS[args.command]
     try:
         return handler(args)

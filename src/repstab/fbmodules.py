@@ -29,7 +29,6 @@ guarded by an explicit degree budget.
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -48,15 +47,52 @@ DEFAULT_BUDGET = 14
 # -- family constructors ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Projective:
+class _Family:
+    """Base of the family constructors: immutable, equal and hashed by type
+    and fields, printed as Name(field=value, ...).  Each subclass names its
+    fields once, as __slots__ = __match_args__, and takes one value per
+    field, in that order.  The fields and the hash are kept at construction,
+    since the step-list caches hash a family, and its children, per call."""
+
+    __slots__ = ("_fields", "_hash")
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_fields", values)
+        object.__setattr__(self, "_hash", hash((type(self), *values)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._fields == other._fields
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields))
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._fields
+
+
+class Projective(_Family):
     """Induced family: zero below the base degree, Pieri expansion above."""
 
-    base: IrrDecomposition
+    __slots__ = __match_args__ = ("base",)
 
 
-@dataclass(frozen=True)
-class VFamily:
+class VFamily(_Family):
     """Family with a single irreducible term per degree.
 
     convention 'socle' (default): at degree m >= |lam| the term is the
@@ -65,62 +101,53 @@ class VFamily:
     irreducible whose socle is lam itself; zero below that.
     """
 
-    lam: Partition
-    convention: str = "socle"
+    __slots__ = __match_args__ = ("lam", "convention")
 
-    def __post_init__(self):
-        if self.convention not in ("socle", "padded"):
-            raise ValueError(f"unknown convention {self.convention!r}")
+    def __init__(self, lam: Partition, convention: str = "socle"):
+        if convention not in ("socle", "padded"):
+            raise ValueError(f"unknown convention {convention!r}")
+        super().__init__(lam, convention)
 
 
-@dataclass(frozen=True)
-class CycleModule:
+class CycleModule(_Family):
     """Permutation module on tuples of disjoint-length cycles: one tensor
     factor per part of nu, the part being the cycle length."""
 
-    nu: Partition
+    __slots__ = __match_args__ = ("nu",)
 
-    def __post_init__(self):
-        if not self.nu:
+    def __init__(self, nu: Partition):
+        if not nu:
             raise ValueError("cycle module needs a nonempty partition")
+        super().__init__(nu)
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: object
-    right: object
+class Tensor(_Family):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class DirectSum:
-    children: tuple = field(default=())
+class DirectSum(_Family):
+    __slots__ = __match_args__ = ("children",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, children=()):
+        super().__init__(tuple(children))
 
 
-@dataclass(frozen=True)
-class Truncate:
+class Truncate(_Family):
     """Zero out every degree below the cutoff."""
 
-    child: object
-    cutoff: int
+    __slots__ = __match_args__ = ("child", "cutoff")
 
 
-@dataclass(frozen=True)
-class WeightTruncateLE:
+class WeightTruncateLE(_Family):
     """Keep only irreducible factors of weight <= p."""
 
-    child: object
-    p: int
+    __slots__ = __match_args__ = ("child", "p")
 
 
-@dataclass(frozen=True)
-class WeightTruncateGT:
+class WeightTruncateGT(_Family):
     """Keep only irreducible factors of weight > p."""
 
-    child: object
-    p: int
+    __slots__ = __match_args__ = ("child", "p")
 
 
 # -- evaluation ---------------------------------------------------------------

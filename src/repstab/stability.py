@@ -16,7 +16,6 @@ relating the two ranks at the breakpoints of the list; tensor_weight and
 tensor_weight_bound_holds serve the tensorweight command.
 """
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .characters import decompose, irr_character
@@ -27,15 +26,18 @@ from .partitions import format_partition
 from .pieri import prefix_sums, sum_steps
 
 
-@dataclass
 class StabilityReport:
-    spec: object
-    m_max: int
-    rank_rs: int | None = None
-    rank_pc: int | None = None
-    poly: CharPolynomial | None = None
-    stable_multiplicities: dict = field(default_factory=dict)
-    bound_checks: list = field(default_factory=list)
+    """What a scan certified on [0, m_max]; None: a rank not reached."""
+
+    def __init__(self, spec, m_max, rank_rs=None, rank_pc=None, poly=None,
+                 stable_multiplicities=None, bound_checks=None):
+        self.spec, self.m_max = spec, m_max
+        self.rank_rs: int | None = rank_rs
+        self.rank_pc: int | None = rank_pc
+        self.poly: CharPolynomial | None = poly
+        self.stable_multiplicities: dict = (
+            {} if stable_multiplicities is None else stable_multiplicities)
+        self.bound_checks: list = [] if bound_checks is None else bound_checks
 
     @property
     def certified_to(self):

@@ -123,13 +123,7 @@ def test_usage_and_parse_errors_exit_1(capsys):
     assert run(["rankscan", "--budget", "0", "--spec", "(vfam 1)", "--mmax", "0"]) == 0
 
 
-def test_parser_is_built_once_and_reused(capsys, monkeypatch):
-    import repstab.cli as cli_mod
-
-    def no_rebuild():
-        raise AssertionError("run() rebuilt the parser")
-
-    monkeypatch.setattr(cli_mod, "_build_parser", no_rebuild)
+def test_one_call_leaves_no_state_for_the_next(capsys):
     # an option given in one call must not leak into the next
     assert run(["chartable", "3", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["m"] == 3
@@ -138,12 +132,78 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     assert first == (GOLDEN / "chartable_3.txt").read_text()
     assert run(["chartable", "3"]) == 0
     assert capsys.readouterr().out == first
+    assert run(["chartable", "15", "--budget", "15"]) == 0
+    assert run(["chartable", "15"]) == 2
+    capsys.readouterr()
     # a usage error after a successful call still exits 1, and the next
     # call parses normally again
     assert run(["chartable"]) == 1
     assert run(["chartable", "3", "--bogus"]) == 1
     assert run(["chartable", "3"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "argv, joined",
+    [
+        (["rho", "--poly", "-X1 + 1", "--m", "3"], ["rho", "--poly=-X1 + 1", "--m=3"]),
+        (["rho", "--poly", "-X1", "--m", "3"], ["rho", "--poly=-X1", "--m=3"]),
+        (
+            ["decompose", "--m", "2", "--values", "-1,1"],
+            ["decompose", "--m=2", "--values=-1,1"],
+        ),
+    ],
+)
+def test_option_values_are_taken_as_given(argv, joined, capsys):
+    # a value right after its option may start with '-'
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert run(joined) == 0
+    assert capsys.readouterr().out == out != ""
+
+
+COMMANDS = (
+    "chartable", "frobpoly", "pieri", "decompose", "cyclepoly", "rho", "rankscan",
+    "tensorweight",
+)
+
+
+def test_help_names_every_command_and_option(capsys):
+    for flag in ("--help", "-h"):
+        assert run([flag]) == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in COMMANDS), out
+    assert run(["rankscan", "-h"]) == 0
+    out = capsys.readouterr().out
+    assert all(option in out for option in ("--spec", "--mmax", "--json", "--budget")), out
+    assert run(["rankscan", "--spec", "(vfam 1)", "--help"]) == 0
+    assert "--mmax" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nonsense"], "argument command: invalid choice: 'nonsense' (choose from "
+         + ", ".join(map(repr, COMMANDS)) + ")"),
+        ([], "the following arguments are required: command"),
+        (["chartable", "3", "--bogus"], "unrecognized arguments: --bogus"),
+        (["tensorweight", "1"], "the following arguments are required: mu, m"),
+        (["chartable", "3", "4"], "unrecognized arguments: 4"),
+        (["rankscan", "--spec", "(cycle 2)"], "the following arguments are required: --mmax"),
+        # option names are spelled in full: no unique-prefix abbreviations
+        (["rankscan", "--spec", "(vfam 1)", "--mm", "3"],
+         "the following arguments are required: --mmax"),
+        (["rho", "--m", "3", "--poly"], "argument --poly: expected one argument"),
+        (["chartable", "x"], "argument m: invalid int value: 'x'"),
+        (["rho", "--poly", "X1", "--m=x"], "argument --m: invalid int value: 'x'"),
+        (["chartable", "3", "--json=1"], "argument --json: ignored explicit argument '1'"),
+    ],
+)
+def test_usage_errors_print_one_line(argv, message, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_budget_errors_exit_2(capsys):
@@ -180,16 +240,32 @@ def test_bound_check_failure_exit_3(capsys, monkeypatch):
     assert run(["tensorweight", "1", "1", "4"]) == 3
 
 
-def test_entry_point_subprocess():
-    out = subprocess.run(
-        [sys.executable, "-m", "repstab", "cyclepoly", "1"],
+def _run_python(*args):
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         cwd=str(pathlib.Path(__file__).parent.parent),
     )
+
+
+def test_entry_point_subprocess():
+    out = _run_python("-m", "repstab", "cyclepoly", "1")
     assert out.returncode == 0
     assert out.stdout.strip() == "X1"
+
+
+def test_cli_start_up_imports_neither_argparse_nor_dataclasses():
+    # both cost start-up time on every command: argparse pulls in gettext
+    # and shutil, dataclasses pulls in inspect and runs exec per class
+    code = (
+        "import sys, repstab.cli;"
+        "print(sorted({'argparse', 'dataclasses'} & set(sys.modules)))"
+    )
+    out = _run_python("-S", "-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def random_partition(rng, max_part=6, max_len=5):

@@ -18,6 +18,7 @@ from repstab.fbmodules import (
     character_at,
     cycle_module_char,
     cycle_poly,
+    family_steps,
     format_spec,
     parse_spec,
     terms_at,
@@ -338,3 +339,44 @@ def test_spec_print_parse_roundtrip():
     ]
     for spec in specs:
         assert parse_spec(format_spec(spec)) == spec, spec
+
+
+def test_family_nodes_are_immutable_values():
+    c = CycleModule(P(2))
+    assert Truncate(c, 3) == Truncate(CycleModule(P(2)), 3)
+    assert hash(Truncate(c, 3)) == hash(Truncate(CycleModule(P(2)), 3))
+    # one type per constructor: equal fields do not make equal families,
+    # and the step-list cache keeps them apart
+    assert Truncate(c, 3) != WeightTruncateLE(c, 3)
+    family_steps.cache_clear()
+    kept = family_steps(WeightTruncateLE(c, 3), 8)
+    assert kept == family_steps(c, 8)
+    assert family_steps(Truncate(c, 3), 8) == tuple(
+        (s, max(b, 3), d) for s, b, d in kept
+    ) != kept
+    with pytest.raises(AttributeError):
+        c.nu = P(3)
+    with pytest.raises(AttributeError):
+        del c.nu
+    assert c.nu == P(2)
+    assert DirectSum() == DirectSum(()) and DirectSum().children == ()
+    assert DirectSum([c]).children == (c,)
+    with pytest.raises(ValueError):
+        VFamily(P(1), "bogus")
+    with pytest.raises(ValueError):
+        CycleModule(P())
+    assert repr(Tensor(VFamily(P(2, 1)), c)) == (
+        "Tensor(left=VFamily(lam=Partition([2, 1]), convention='socle'), "
+        "right=CycleModule(nu=Partition([2])))"
+    )
+    spec = DirectSum(
+        [
+            Truncate(VFamily(P(), "padded"), 3),
+            WeightTruncateGT(Projective(IrrDecomposition(2, {P(1, 1): 1})), 1),
+        ]
+    )
+    assert repr(spec) == (
+        "DirectSum(children=(Truncate(child=VFamily(lam=Partition([]), "
+        "convention='padded'), cutoff=3), WeightTruncateGT(child=Projective("
+        "base=IrrDecomposition(m=2, {1,1: 1})), p=1)))"
+    )

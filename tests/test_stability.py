@@ -457,6 +457,7 @@ def test_random_family_round_trips_and_certifies(spec):
     # the text form reads back, the two routes to a character agree, and
     # every bound relating the two ranks holds once both ranks are found
     assert parse_spec(format_spec(spec)) == spec
+    assert hash(parse_spec(format_spec(spec))) == hash(spec)
     for m in range(11):
         chi = character_at(spec, m, budget=10)
         terms = terms_at(spec, m, budget=10)
