@@ -3,14 +3,15 @@
 Subcommands, one row each of _COMMANDS: chartable, frobpoly, pieri,
 decompose, cyclepoly, rho, rankscan, tensorweight.  Every command takes
 --json for a versioned JSON document instead of the text table, --budget
-to override the cap on the degree and -h or --help.  Exit codes:
+to override the cap on the degree and -h or --help.  The --json output is
+byte-identical to json.dumps(document, indent=2).  Exit codes:
 0 success, 1 usage or parse error, 2 budget exceeded, 3 a theorem bound
 check failed.
 """
 
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .characters import ClassFunction, character_table, decompose
@@ -157,7 +158,36 @@ def main():
 
 
 def _emit(data):
-    print(json.dumps(data, indent=2, sort_keys=False))
+    print(_json(data))
+
+
+def _json(value, indent="\n"):
+    """json.dumps(value, indent=2), byte for byte, for the documents the
+    commands emit: str-keyed dicts, lists and tuples of str, int, True,
+    False and None.  TypeError on any other type.  indent is the newline
+    and indentation that close the enclosing container.
+
+    json.dumps runs its pure-Python encoder whenever indent is set; this
+    writer keeps the C string escaper and skips the rest of that machinery.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = []
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            items.append(encode_basestring_ascii(k) + ": " + _json(v, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _cmd_chartable(args):
@@ -208,7 +238,7 @@ def _cmd_frobpoly(args):
                 "schema": 1,
                 key: value,
                 "poly": format_poly(poly),
-                "weight": int(poly.weighted_degree()) if not poly.is_zero() else None,
+                "weight": soc.size,  # F_s is never zero and has weight |s|
             }
         )
     else:

@@ -18,6 +18,7 @@ integer.
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 
@@ -235,9 +236,11 @@ def eval_rho_all(poly, m):
 @lru_cache(maxsize=4096)
 def _monomial(mono):
     """The sort key of a monomial in format_poly, weight descending then
-    variables lexicographically, and its text."""
+    variables lexicographically, and its text.  The key is flat, (-weight,
+    v1, e1, v2, e2, ...): every pair has length 2, so it orders monomials
+    as (-weight, mono) does, and compares plain ints."""
     text = "*".join(f"X{v}" + (f"^{e}" if e > 1 else "") for v, e in mono)
-    return (-sum(v * e for v, e in mono), mono), text
+    return (-sum(v * e for v, e in mono), *chain.from_iterable(mono)), text
 
 
 def format_poly(poly):

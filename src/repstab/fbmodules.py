@@ -200,6 +200,10 @@ def family_steps(spec, top):
             entries = [(lam.socle(), lam.size, 1)]
         case VFamily(lam=lam):
             entries = [(lam, lam.size + (lam.parts[0] if lam else 0), 1)]
+        case CycleModule(nu=nu) if nu.parts[0] > top:
+            # every B_rho of the polynomial has |rho| >= nu_1, and every
+            # entry starts at or above such an |rho|: zero on [0, top]
+            entries = ()
         case CycleModule(nu=nu):
             entries = _integer_steps([(cycle_poly_product(nu), 0, top)])
         case Tensor(left=left, right=right):
@@ -228,6 +232,8 @@ def _tensor_steps(left, right, top):
     so between consecutive breakpoints b <= m < c of the two the product
     follows Q = P_left(b) * P_right(b), a character there."""
     factors = [(f, family_steps(f, top)) for f in (left, right)]
+    if not all(st for _, st in factors):  # a factor that is zero on [0, top]
+        return []
     moving = [st for f, st in factors if not isinstance(f, CycleModule)]
     breaks = sorted({0}.union(*({b for _, b, _ in st} for st in moving)))
 

@@ -482,9 +482,16 @@ def socles_by_degree(spec, m):
 
 
 def _factor_poly(spec, m):
+    """The factor's polynomial at m, from its socles at m in ints: the
+    multiplicities read off a polynomial are Fractions, which the integer
+    polynomial route does not take.  ValueError on one that is no integer."""
     if isinstance(spec, CycleModule):
         return cycle_poly_product(spec.nu)
-    return frobenius_poly_of_socles(socles_by_degree(spec, m))
+    socles = socles_by_degree(spec, m)
+    bad = {s: n for s, n in socles.items() if int(n) != n}
+    if bad:
+        raise ValueError(f"non-integral multiplicities {bad} of {spec!r} at {m}")
+    return frobenius_poly_of_socles({s: int(n) for s, n in socles.items()})
 
 
 def rank_rs_by_walk(spec, m_max):

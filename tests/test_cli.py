@@ -6,8 +6,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repstab.cli import run
+from repstab.cli import _json, run
 from repstab.cyclepoly import CharPolynomial, format_poly, parse_poly
 from repstab.fbmodules import (
     CycleModule,
@@ -96,6 +97,58 @@ def test_json_documents_carry_schema(capsys):
     ]:
         assert run(argv) == 0
         assert json.loads(capsys.readouterr().out)["schema"] == 1
+
+
+_json_leaves = st.one_of(
+    st.text(),
+    st.text(st.sampled_from('"\\/\x00\x01\x1f\x7f\n\t\u00e9\u2028\ud800\U0001d11e a')),
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.integers(max_value=-(2**64)),
+    st.booleans(),
+    st.none(),
+)
+_json_documents = st.recursive(
+    _json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_documents)
+@example({"a": [], "b": {}, "c": (), "d": [[{}]], "\u00e9\"\\": [True, False, None, -0]})
+def test_json_writer_matches_json_dumps(doc):
+    assert _json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(1, 2), {1}, object(), {"a": [Fraction(1)]}, {(1, 2): 0}]
+)
+def test_json_writer_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        _json(value)
+
+
+@pytest.mark.parametrize(
+    "argv, key, label, weight",
+    [
+        (["frobpoly", "--json", "4,1"], "partition", "4,1", 1),
+        (["frobpoly", "--json", "socle:-"], "socle", "-", 0),
+        (["frobpoly", "--json", "socle:3,2,2"], "socle", "3,2,2", 7),
+    ],
+)
+def test_frobpoly_weight_is_the_socle_size(argv, key, label, weight, capsys):
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc[key] == label
+    assert doc["weight"] == weight == parse_poly(doc["poly"]).weighted_degree()
 
 
 @pytest.mark.parametrize("spec", ['(vfam -)', '(proj 0 "-")'])
@@ -240,13 +293,14 @@ def test_bound_check_failure_exit_3(capsys, monkeypatch):
     assert run(["tensorweight", "1", "1", "4"]) == 3
 
 
-def _run_python(*args):
+def _run_python(*args, timeout=None):
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         cwd=str(pathlib.Path(__file__).parent.parent),
+        timeout=timeout,
     )
 
 
@@ -254,6 +308,15 @@ def test_entry_point_subprocess():
     out = _run_python("-m", "repstab", "cyclepoly", "1")
     assert out.returncode == 0
     assert out.stdout.strip() == "X1"
+
+
+@pytest.mark.parametrize("spec", ["(cycle 800)", "(tensor (cycle 800) (vfam 1))"])
+def test_a_cycle_longer_than_the_window_scans_at_once(spec):
+    # (cycle 800) is zero below degree 800, so a scan to 3 need not build
+    # its weight-800 polynomial; it took about 30 s when it did
+    out = _run_python("-m", "repstab", "rankscan", "--spec", spec, "--mmax", "3", timeout=10)
+    assert out.returncode == 0, out.stderr
+    assert "rank_rs: 0\nrank_pc: 0\npoly: 0\n" in out.stdout
 
 
 def test_cli_start_up_imports_neither_argparse_nor_dataclasses():

@@ -12,6 +12,7 @@ from repstab.cyclepoly import (
     eval_rho,
     eval_rho_all,
     falling_factorial,
+    _monomial,
     format_poly,
     parse_poly,
 )
@@ -228,6 +229,28 @@ def test_print_parse_roundtrip_property(terms):
 monomials = st.dictionaries(st.integers(1, 5), st.integers(1, 3), max_size=3).map(
     lambda d: tuple(sorted(d.items()))
 )
+
+_tying = st.sampled_from([1, 2, 5, 10, 11, 20])  # products of these often tie
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sets(
+        st.dictionaries(st.sampled_from([1, 2, 10]), _tying, max_size=3).map(
+            lambda d: tuple(sorted(d.items()))
+        ),
+        max_size=12,
+    )
+)
+def test_flat_sort_key_orders_like_weight_then_monomial(monos):
+    # many monomials share a weight, so the order within one weight matters;
+    # variables and exponents past 9 catch a key compared as text
+    def nested(mono):
+        return (-sum(v * e for v, e in mono), mono)
+
+    keys = {mono: _monomial(mono)[0] for mono in monos}
+    assert len(set(keys.values())) == len(monos)
+    assert sorted(monos, key=keys.get) == sorted(monos, key=nested)
 
 
 @settings(max_examples=200, deadline=None)

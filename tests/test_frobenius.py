@@ -82,6 +82,13 @@ def test_weight_law():
             assert frobenius_poly(lam).weighted_degree() == lam.weight()
 
 
+def test_stable_polynomial_weight_is_the_socle_size():
+    # frobpoly reports |s| as the weight of F_s without reading its monomials
+    for k in range(11):
+        for s in partitions_of(k):
+            assert frobenius_poly_stable(s).weighted_degree() == s.size, s
+
+
 def test_variable_bound():
     for m in range(2, 9):
         for lam in partitions_of(m):

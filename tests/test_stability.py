@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repstab
 from repstab import frobenius
@@ -37,6 +37,7 @@ from repstab.stability import (
     verify_equivalence,
 )
 
+import bruteforce
 import lemmas
 from bruteforce import rank_pc_by_walk, rank_rs_by_walk, socles_by_degree
 from lemmas import (
@@ -557,11 +558,29 @@ def assert_the_walk_agrees(spec, windows):
 
 @settings(max_examples=150, deadline=None)
 @given(families)
+@example(Tensor(DirectSum(()), Truncate(CycleModule(P(3)), 0)))
 def test_step_list_against_the_per_degree_route(spec):
     # window 30 only up to weight 10: the module polynomial at m_max of a
     # family of weight 18 sums thousands of socles' polynomials, on either route
     windows = (0, 1, 5, 10, 30) if weight_bound(spec) <= 10 else (0, 1, 5, 10)
     assert_the_walk_agrees(spec, windows)
+
+
+def test_the_tensor_oracle_runs_from_cold_caches():
+    # the oracle reads a factor's socles off its polynomial as Fractions;
+    # the integer polynomial route takes them as ints, with no entry the
+    # library left in a cache to fall back on
+    repstab.clear_caches()
+    socles_by_degree.cache_clear()
+    spec = Tensor(VFamily(P(1)), Truncate(CycleModule(P(2)), 0))
+    assert socles_by_degree(spec, 4) == {P(): 1, P(1): 1, P(2): 1}
+    assert socles_by_degree(spec, 4) == sum_steps(family_steps(spec, 4), 4)
+
+
+def test_the_tensor_oracle_rejects_fractional_multiplicities(monkeypatch):
+    monkeypatch.setattr(bruteforce, "socles_by_degree", lambda spec, m: {P(1): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="non-integral"):
+        bruteforce._factor_poly(VFamily(P(1)), 4)
 
 
 @pytest.mark.parametrize("text", CI_SPECS)
