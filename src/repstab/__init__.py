@@ -11,7 +11,7 @@ polynomiality.  All arithmetic is exact (integers and rationals).
 import sys
 
 from .characters import ClassFunction, IrrDecomposition, decompose, inner_product, irr_char
-from .cyclepoly import CharPolynomial, X, eval_rho, eval_rho_all, parse_poly
+from .cyclepoly import CharPolynomial, X, cycle_poly, eval_rho, eval_rho_all, parse_poly
 from .fbmodules import (
     CycleModule,
     DirectSum,
@@ -22,7 +22,6 @@ from .fbmodules import (
     WeightTruncateGT,
     WeightTruncateLE,
     character_at,
-    cycle_poly,
     parse_spec,
     terms_at,
 )

@@ -15,9 +15,9 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .characters import ClassFunction, character_table, decompose
-from .cyclepoly import eval_rho_all, format_poly, parse_poly
+from .cyclepoly import cycle_poly, eval_rho_all, format_poly, parse_poly
 from .errors import BudgetError, ParseError
-from .fbmodules import DEFAULT_BUDGET, check_budget, cycle_poly, parse_spec
+from .fbmodules import DEFAULT_BUDGET, check_budget, parse_spec
 from .frobenius import frobenius_poly_stable
 from .partitions import (
     cycle_types_of,

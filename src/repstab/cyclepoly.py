@@ -13,6 +13,11 @@ form, den > 0 and gcd(den, *num.values()) == 1, so equal polynomials have
 equal (num, den) and the ring operations run in integers.  The weight of
 the zero polynomial is the sentinel NEG_INF, which compares below every
 integer.
+
+cycle_poly(ell) is the polynomial E_ell that counts the ell-cycles
+commuting with a permutation, the character of the cycle module (cycle
+ell) at every degree, built in integers; cycle_poly_product multiplies
+them over the parts of a partition.
 """
 
 import re
@@ -196,6 +201,16 @@ def falling_factorial(p, k):
     return out
 
 
+@lru_cache(maxsize=64)
+def falling_coefficients(n):
+    """(s(n, 0), ..., s(n, n)), the signed Stirling numbers of the first
+    kind: x (x-1) ... (x-n+1) = sum_k s(n, k) x^k."""
+    coeffs = (1,)
+    for t in range(n):  # multiply by (x - t)
+        coeffs = tuple(a - t * b for a, b in zip((0,) + coeffs, coeffs + (0,)))
+    return coeffs
+
+
 def eval_rho(poly, cycles):
     """Evaluate at the class with the descending cycle tuple `cycles`:
     X_i := cycles.count(i), the number of i-cycles."""
@@ -228,6 +243,46 @@ def eval_rho_all(poly, m):
                 vals = [a * x**e for a, x in zip(vals, col)]
         num = list(map(add, num, vals))
     return ClassFunction.from_ints(m, num, poly.den)
+
+
+# -- commuting-cycle counts --------------------------------------------------
+
+
+def _totient(n):
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def cycle_poly(ell):
+    """Polynomial counting the ell-cycles commuting with a permutation.
+
+    The sum over the divisors d of ell, e = ell/d, of phi(d) d^e / ell
+    times the falling factorial X_d (X_d-1) ... (X_d-e+1), phi being
+    Euler's totient; the term of d = ell is phi(ell) X_ell.  Built in
+    integers over the denominator ell, the falling factorial read off the
+    signed Stirling numbers of the first kind.  Weight ell, independent
+    of the group degree.
+    """
+    if ell < 1:
+        raise ValueError("cycle length must be positive")
+    num = {}
+    for d in range(1, ell + 1):
+        if ell % d == 0:
+            e = ell // d
+            scale = _totient(d) * d**e
+            for j, s in enumerate(falling_coefficients(e)):
+                if s:
+                    num[((d, j),)] = scale * s
+    return CharPolynomial.from_ints(num, ell)
+
+
+@lru_cache(maxsize=1024)
+def cycle_poly_product(nu):
+    """Product of cycle_poly over the parts of nu: the character polynomial
+    of the corresponding tensor product of cycle modules."""
+    out = CharPolynomial.one()
+    for part in nu:
+        out = out * cycle_poly(part)
+    return out
 
 
 # -- printing and parsing ---------------------------------------------------

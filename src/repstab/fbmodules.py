@@ -19,6 +19,10 @@ is one entry, a direct sum merges lists, a degree truncation moves every
 start up to its cutoff and a weight truncation keeps the s by |s|, the
 weight of s[m].  No class of a listed degree is read.
 
+The tree alone bounds each list (stable_range): every start is at most
+T and every socle s has |s| <= w, per constructor, so a list is built
+once, at min(top, T), whatever the top asked for.
+
 At the API edge, the socle multiplicities at m (socles_at) are the
 prefix sums of the list up to m, and terms_at pads each socle s to s[m].
 character_at runs over the p(m) classes of S_m: cycle modules evaluate
@@ -32,10 +36,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import gcd
 
 from .characters import ClassFunction, IrrDecomposition
-from .cyclepoly import CharPolynomial, X, eval_rho_all, falling_factorial
+from .cyclepoly import cycle_poly_product, eval_rho_all
 from .errors import BudgetError, ParseError
 from .frobenius import frobenius_poly_of_socles, socle_steps
 from .partitions import Partition, format_partition, parse_partition
@@ -189,10 +192,50 @@ def check_budget(m, budget):
 
 
 @lru_cache(maxsize=1024)
+def stable_range(spec):
+    """(T, w) of the family: every start of its step list is at most T,
+    and every socle s it ever holds has |s| <= w (s[m] has weight |s|).
+    Read off the tree, before any list is built.  A cycle module and the
+    polynomials of a tensor product's pieces have weight at most w, and
+    each entry of a polynomial of weight d starts at |s| + mu_1 <= 2d."""
+    match spec:
+        case Projective(base=w):  # entries start at |s| + nu_1 <= |nu| + nu_1
+            return max((nu.size + nu[0] for nu, _ in w.items() if nu), default=0), w.m
+        case VFamily(lam=lam, convention="socle"):
+            return lam.size, lam.size - (lam.parts[0] if lam else 0)
+        case VFamily(lam=lam):
+            return lam.size + (lam.parts[0] if lam else 0), lam.size
+        case CycleModule(nu=nu):
+            return 2 * nu.size, nu.size
+        case Tensor(left=left, right=right):
+            # a cycle factor never moves: only the other's starts are breakpoints
+            factors = [(f, *stable_range(f)) for f in (left, right)]
+            w = sum(w for _, _, w in factors)
+            moving = [t for f, t, _ in factors if not isinstance(f, CycleModule)]
+            return max(moving + [2 * w]), w
+        case DirectSum(children=children):  # (0, 0) when empty
+            return tuple(map(max, zip((0, 0), *map(stable_range, children))))
+        case Truncate(child=child, cutoff=cutoff):
+            t, w = stable_range(child)
+            return max(cutoff, t), w
+        case WeightTruncateLE(child=child, p=p):
+            t, w = stable_range(child)
+            return t, min(p, w)
+        case WeightTruncateGT(child=child):
+            return stable_range(child)
+    raise TypeError(f"not a family constructor: {spec!r}")
+
+
+@lru_cache(maxsize=1024)
 def family_steps(spec, top):
     """The family's net step list up to degree top: the entries (s, start,
     delta), start <= top and delta != 0, by which the multiplicity of s[m]
-    changes at start, one per (s, start), sorted by (start, s)."""
+    changes at start, one per (s, start), sorted by (start, s).  No entry
+    starts past T of stable_range, so the list is built once, at
+    min(top, T), and served at every larger top."""
+    stop = stable_range(spec)[0]
+    if top > stop:
+        return family_steps(spec, stop)
     match spec:
         case Projective(base=w):
             entries = induced_steps(w.items())
@@ -286,46 +329,6 @@ def _character(spec, m):
             return terms_at(spec, m, m).character()
 
 
-# -- cycle-count polynomials --------------------------------------------------
-
-
-def _totient(n):
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-
-
-def cycle_poly(ell):
-    """Polynomial counting the ell-cycles commuting with a permutation.
-
-    phi(ell) X_ell plus, for each proper divisor d of ell with e = ell/d,
-    phi(d) d^e / ell times the falling factorial X_d (X_d-1) ... (X_d-e+1);
-    phi is Euler's totient.  Weight ell, independent of the group degree.
-    """
-    if ell < 1:
-        raise ValueError("cycle length must be positive")
-    out = _totient(ell) * X(ell)
-    for d, e, coef in _divisor_terms(ell):
-        out = out + coef * falling_factorial(X(d), e)
-    return out
-
-
-def _divisor_terms(ell):
-    """(d, e, phi(d) d^e / ell) for each proper divisor d of ell, e = ell/d."""
-    for d in range(1, ell):
-        if ell % d == 0:
-            e = ell // d
-            yield d, e, Fraction(_totient(d) * d**e, ell)
-
-
-@lru_cache(maxsize=1024)
-def cycle_poly_product(nu):
-    """Product of cycle_poly over the parts of nu: the character polynomial
-    of the corresponding tensor product of cycle modules."""
-    out = CharPolynomial.one()
-    for part in nu:
-        out = out * cycle_poly(part)
-    return out
-
-
 def cycle_module_char(nu, m):
     """Character at degree m of the cycle module indexed by nu (nonempty)."""
     if not nu:
@@ -373,10 +376,12 @@ def format_spec(spec):
     raise TypeError(f"not a family constructor: {spec!r}")
 
 
+@lru_cache(maxsize=1024)
 def parse_spec(text):
     """Parse the s-expression family language, e.g.
     (tensor (vfam 1) (vfam 1)), (cycle 2 1), (proj 3 "2,1"),
-    (trunc>= 5 (cycle 2)), (wtrunc<= 1 (proj 2 "1,1")), (sum ...)."""
+    (trunc>= 5 (cycle 2)), (wtrunc<= 1 (proj 2 "1,1")), (sum ...).
+    Cached on the text: a family is an immutable value."""
     toks = []
     for m in _SPEC_TOKEN.finditer(text):
         if m.lastgroup == "quote":

@@ -52,7 +52,7 @@ from itertools import groupby, repeat
 from math import factorial, gcd
 
 from .characters import irr_row
-from .cyclepoly import CharPolynomial
+from .cyclepoly import CharPolynomial, falling_coefficients
 from .partitions import Partition, centralizer_order, classes, partitions_of
 from .pieri import horizontal_strip_steps
 
@@ -146,20 +146,10 @@ def _binomial_basis(rho):
         num = {
             mono + ((i, j),): c * s
             for mono, c in num.items()
-            for j, s in enumerate(_falling_coefficients(k))
+            for j, s in enumerate(falling_coefficients(k))
             if s
         }
     return num, den
-
-
-@lru_cache(maxsize=64)
-def _falling_coefficients(n):
-    """(s(n, 0), ..., s(n, n)), the signed Stirling numbers of the first
-    kind: x (x-1) ... (x-n+1) = sum_k s(n, k) x^k."""
-    coeffs = (1,)
-    for t in range(n):  # multiply by (x - t)
-        coeffs = tuple(a - t * b for a, b in zip((0,) + coeffs, coeffs + (0,)))
-    return coeffs
 
 
 def frobenius_poly_of_module(dec):
@@ -178,25 +168,30 @@ def frobenius_poly_of_socles(socles):
     return _poly_of_socles(frozenset(socles.items()))
 
 
-def binomial_coefficients(poly):
+def binomial_coefficients(poly, top=None):
     """poly in the basis B_rho: (num, den) with poly = sum_rho num[rho] / den
-    B_rho over descending cycle tuples rho, den > 0, zero entries dropped.
+    B_rho over descending cycle tuples rho, den > 0, zero entries dropped;
+    only the rho with |rho| <= top when top is given.
 
     Each power is X_i^e = sum_j S(e, j) j! C(X_i, j), with S the Stirling
     numbers of the second kind, and the powers of a monomial share no
-    variable, so the monomial goes to the B_rho with m_i(rho) <= e_i.
+    variable, so the monomial goes to the B_rho with m_i(rho) <= e_i.  |rho|
+    only grows as the variables are multiplied in, so a rho past top is
+    dropped as soon as it is formed.
     """
+    if top is None:
+        top = poly.weighted_degree()
     num = {}
     for mono, coef in poly.num.items():
-        terms = {(): coef}
+        terms = {(): (coef, 0)}  # rho: (coefficient, |rho|)
         for i, e in reversed(mono):  # descending variables give descending tuples
+            row = _power_coefficients(e)
             terms = {
-                rho + (i,) * j: c * s
-                for rho, c in terms.items()
-                for j, s in enumerate(_power_coefficients(e))
-                if s
+                rho + (i,) * j: (c * row[j], size + i * j)
+                for rho, (c, size) in terms.items()
+                for j in range(1, min(e, (top - size) // i) + 1)  # row[0] = 0
             }
-        for rho, c in terms.items():
+        for rho, (c, _) in terms.items():
             num[rho] = num.get(rho, 0) + c
     return {rho: c for rho, c in num.items() if c}, poly.den
 
@@ -219,12 +214,10 @@ def frobenius_coefficients(poly, top=None):
 
     Only kernel rows of degree <= top, and <= weight(poly), are read.
     """
-    coeffs, den = binomial_coefficients(poly)
+    coeffs, den = binomial_coefficients(poly, top)
     by_degree = {}
     for rho, c in coeffs.items():
-        k = sum(rho)
-        if top is None or k <= top:
-            by_degree.setdefault(k, []).append((rho, c))
+        by_degree.setdefault(sum(rho), []).append((rho, c))
     scale = factorial(max(by_degree, default=0))  # every z_rho divides it
     num = {}
     for k, pairs in sorted(by_degree.items()):

@@ -12,15 +12,25 @@ in integers off the signed vertical-strip sums g_mu that build P): the
 rank is where their difference last stops vanishing.  Both are
 certified only on the scanned window [0, m_max]: the estimators verify,
 they do not prove.  verify_equivalence runs both and checks the bounds
-relating the two ranks at the breakpoints of the list; tensor_weight and
+relating the two ranks at the breakpoints of the list.  Past the stable
+window W = max(T, 2w) + 1 of the family's stable range (T, w) no degree
+a scan reads changes, so verify_equivalence scans at min(m_max, W), once
+per family and window, and reports to m_max; tensor_weight and
 tensor_weight_bound_holds serve the tensorweight command.
 """
 
+from functools import lru_cache
 from operator import itemgetter
 
 from .characters import decompose, irr_character
 from .cyclepoly import CharPolynomial, format_poly
-from .fbmodules import DEFAULT_BUDGET, check_budget, family_steps, format_spec
+from .fbmodules import (
+    DEFAULT_BUDGET,
+    check_budget,
+    family_steps,
+    format_spec,
+    stable_range,
+)
 from .frobenius import frobenius_poly_of_socles, module_steps
 from .partitions import format_partition
 from .pieri import prefix_sums, sum_steps
@@ -121,6 +131,16 @@ def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     return n, poly
 
 
+def stable_window(spec):
+    """W = max(T, 2w) + 1 for the (T, w) of fbmodules.stable_range: no
+    degree that a scan reads changes past W - 1, so a scan to any m_max >= W
+    finds what the scan to W finds.  The family's starts are at most T, the
+    module polynomial's entries start at |s| + mu_1 <= 2w, and the bound
+    checks start at max(2 * weight, rank_pc) <= W - 1."""
+    t, w = stable_range(spec)
+    return max(t, 2 * w) + 1
+
+
 def verify_equivalence(spec, m_max, budget=DEFAULT_BUDGET):
     """Estimate both ranks and check every bound relating them.
 
@@ -131,24 +151,33 @@ def verify_equivalence(spec, m_max, budget=DEFAULT_BUDGET):
         polynomial and the module weight equals its weight.  Both are
         constant between the starts of the family's step list, so they
         are checked at the first degree and at each later start.
+
+    The scan runs at min(m_max, stable_window(spec)), where it finds the
+    same ranks, polynomial, multiplicities and checks as at m_max, and is
+    cached there; the report is a fresh one, certified to m_max.
     """
     check_budget(m_max, budget)
-    report = StabilityReport(spec=spec, m_max=m_max)
-    rs = rank_rs_estimate(spec, m_max, budget)
-    pc = rank_pc_estimate(spec, m_max, budget)
-    if rs is not None:
-        report.rank_rs, report.stable_multiplicities = rs
-    if pc is not None:
-        report.rank_pc, report.poly = pc
+    rank_rs, rank_pc, poly, stable, checks = _scan(spec, min(m_max, stable_window(spec)))
+    return StabilityReport(spec, m_max, rank_rs, rank_pc, poly, dict(stable), list(checks))
+
+
+@lru_cache(maxsize=1024)
+def _scan(spec, m_max):
+    """verify_equivalence at m_max, as (rank_rs, rank_pc, poly, stable
+    multiplicities as pairs, bound checks as pairs), None where a rank is
+    not reached."""
+    rs = rank_rs_estimate(spec, m_max, m_max)
+    pc = rank_pc_estimate(spec, m_max, m_max)
+    rank_rs, stable = (None, {}) if rs is None else rs
+    rank_pc, poly = (None, None) if pc is None else pc
     if rs is None or pc is None:
-        return report
-    poly = report.poly
+        return rank_rs, rank_pc, poly, tuple(stable.items()), ()
     two_d = 0 if poly.is_zero() else 2 * poly.weighted_degree()
-    report.bound_checks.append(("rank_pc_le_rank_rs", report.rank_pc <= report.rank_rs))
-    report.bound_checks.append(
-        ("rank_rs_le_max_rank_pc_2degw", report.rank_rs <= max(report.rank_pc, two_d))
-    )
-    lo = max(two_d, report.rank_pc)
+    checks = [
+        ("rank_pc_le_rank_rs", rank_pc <= rank_rs),
+        ("rank_rs_le_max_rank_pc_2degw", rank_rs <= max(rank_pc, two_d)),
+    ]
+    lo = max(two_d, rank_pc)
     steps = family_steps(spec, m_max)
     degrees = sorted({b for _, b, _ in steps if b > lo}.union([lo] if lo <= m_max else []))
     poly_ok, weight_ok = True, True
@@ -159,9 +188,9 @@ def verify_equivalence(spec, m_max, budget=DEFAULT_BUDGET):
         # s[m] has weight |s|
         if max((s.size for s in socles), default=0) != expected_w:
             weight_ok = False
-    report.bound_checks.append(("poly_equals_module_polynomial", poly_ok))
-    report.bound_checks.append(("module_weight_equals_poly_weight", weight_ok))
-    return report
+    checks.append(("poly_equals_module_polynomial", poly_ok))
+    checks.append(("module_weight_equals_poly_weight", weight_ok))
+    return rank_rs, rank_pc, poly, tuple(stable.items()), tuple(checks)
 
 
 def tensor_weight(lam, mu, m):

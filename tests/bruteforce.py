@@ -11,10 +11,10 @@ composed step list.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
+from math import factorial, gcd
 
 from repstab.characters import ClassFunction, irr_row
-from repstab.cyclepoly import CharPolynomial, X, falling_factorial
+from repstab.cyclepoly import CharPolynomial, X, cycle_poly_product, falling_factorial
 from repstab.errors import BudgetError
 from repstab.fbmodules import (
     CycleModule,
@@ -25,7 +25,6 @@ from repstab.fbmodules import (
     VFamily,
     WeightTruncateGT,
     WeightTruncateLE,
-    cycle_poly_product,
 )
 from repstab.frobenius import frobenius_poly_of_socles, socle_steps
 from repstab.partitions import Partition, classes, cycle_types_of, format_cycle_type
@@ -161,6 +160,29 @@ def commuting_cycle_count(g, ell):
     if ell > m:
         return 0
     return sum(1 for c in all_cycles_of_length(m, ell) if compose(g, c) == compose(c, g))
+
+
+def totient(n):
+    """Euler's phi by counting."""
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def divisor_terms(ell):
+    """(d, e, phi(d) d^e / ell) for each proper divisor d of ell, e = ell/d."""
+    for d in range(1, ell):
+        if ell % d == 0:
+            e = ell // d
+            yield d, e, Fraction(totient(d) * d**e, ell)
+
+
+def cycle_poly_by_falling_factorials(ell):
+    """cycle_poly(ell) in the ring: phi(ell) X_ell plus, for each proper
+    divisor d of ell, phi(d) d^e / ell times the falling factorial
+    X_d (X_d-1) ... (X_d-e+1), e = ell/d, multiplied out factor by factor."""
+    out = totient(ell) * X(ell)
+    for d, e, coef in divisor_terms(ell):
+        out = out + coef * falling_factorial(X(d), e)
+    return out
 
 
 def hook_length_dimension(parts):

@@ -16,17 +16,12 @@ from fractions import Fraction
 
 from repstab.characters import inner_product, irr_character
 from repstab.cyclepoly import CharPolynomial, X, eval_rho, eval_rho_all, falling_factorial
-from repstab.fbmodules import (
-    DEFAULT_BUDGET,
-    DirectSum,
-    VFamily,
-    _divisor_terms,
-    _totient,
-    terms_at,
-)
+from repstab.fbmodules import DEFAULT_BUDGET, DirectSum, VFamily, terms_at
 from repstab.frobenius import frobenius_poly_of_module
 from repstab.partitions import Partition, cycle_types_of, partitions_of
 from repstab.stability import rank_pc_estimate
+
+from bruteforce import divisor_terms, totient
 
 
 # -- polynomials ---------------------------------------------------------------
@@ -99,9 +94,9 @@ def express_X_in_E(n):
     qs = []
     for ell in range(1, n + 1):
         expr = X(ell)
-        for d, e, coef in _divisor_terms(ell):
+        for d, e, coef in divisor_terms(ell):
             expr = expr - coef * falling_factorial(qs[d - 1], e)
-        qs.append(expr / _totient(ell))
+        qs.append(expr / totient(ell))
     return qs
 
 

@@ -17,14 +17,8 @@ from repstab.characters import (
     irr_char,
     irr_character,
 )
-from repstab.cyclepoly import X, eval_rho, eval_rho_all, format_poly, parse_poly
-from repstab.fbmodules import (
-    CycleModule,
-    Projective,
-    Tensor,
-    VFamily,
-    cycle_poly,
-)
+from repstab.cyclepoly import X, cycle_poly, eval_rho, eval_rho_all, format_poly, parse_poly
+from repstab.fbmodules import CycleModule, Projective, Tensor, VFamily
 from repstab.frobenius import frobenius_poly, frobenius_poly_stable
 from repstab.partitions import Partition, class_size, cycle_types_of, partitions_of
 from repstab.pieri import pieri_expand, projective_terms

@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repstab.characters import ClassFunction, inner_product
-from repstab.cyclepoly import CharPolynomial, X, eval_rho, eval_rho_all, falling_factorial
-from repstab.fbmodules import cycle_poly
+from repstab.cyclepoly import (
+    CharPolynomial,
+    X,
+    cycle_poly,
+    eval_rho,
+    eval_rho_all,
+    falling_factorial,
+)
 from repstab.partitions import cycle_types_of, format_cycle_type
 
 from bruteforce import (

@@ -319,6 +319,18 @@ def test_a_cycle_longer_than_the_window_scans_at_once(spec):
     assert "rank_rs: 0\nrank_pc: 0\npoly: 0\n" in out.stdout
 
 
+@pytest.mark.parametrize(
+    "spec", ["(cycle 8 8 8 8 8 8 8 8 8 8)", "(cycle 14 14 14 14 14 14 14 14)"]
+)
+def test_a_heavy_cycle_scans_only_its_window(spec):
+    # weights 80 and 112 scanned to 14: only the B_rho with |rho| <= 14 are
+    # formed; expanding the whole polynomial in the binomial basis took 15
+    # and 28 s
+    out = _run_python("-m", "repstab", "rankscan", "--spec", spec, "--mmax", "14", timeout=10)
+    assert out.returncode == 0, out.stderr
+    assert "rank_rs: 14\nrank_pc: not polynomial\n" in out.stdout
+
+
 def test_cli_start_up_imports_neither_argparse_nor_dataclasses():
     # both cost start-up time on every command: argparse pulls in gettext
     # and shutil, dataclasses pulls in inspect and runs exec per class

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from repstab.characters import IrrDecomposition, decompose, irr_character
-from repstab.cyclepoly import X, eval_rho, parse_poly
+from repstab.cyclepoly import X, cycle_poly, eval_rho, parse_poly
 from repstab.errors import BudgetError, ParseError
 from repstab.fbmodules import (
     CycleModule,
@@ -17,7 +17,6 @@ from repstab.fbmodules import (
     _integer_steps,
     character_at,
     cycle_module_char,
-    cycle_poly,
     family_steps,
     format_spec,
     parse_spec,
@@ -25,7 +24,7 @@ from repstab.fbmodules import (
 )
 from repstab.partitions import Partition, cycle_types_of
 
-from bruteforce import commuting_cycle_count, representative
+from bruteforce import commuting_cycle_count, cycle_poly_by_falling_factorials, representative
 from lemmas import express_X_in_E, substitute
 
 
@@ -44,6 +43,13 @@ def test_cycle_poly_small_cases():
         assert cycle_poly(ell).weighted_degree() == ell
         # the leading pure X_ell coefficient is the totient
         assert cycle_poly(ell).terms[((ell, 1),)] == TOTIENTS[ell]
+
+
+def test_cycle_poly_against_the_falling_factorials():
+    # built in integers off the Stirling numbers; the oracle multiplies the
+    # falling factorials out in the ring, in Fractions
+    for ell in range(1, 61):
+        assert cycle_poly(ell) == cycle_poly_by_falling_factorials(ell), ell
 
 
 def test_cycle_poly_identity_class_dimension():

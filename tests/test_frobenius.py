@@ -14,6 +14,7 @@ from repstab.cyclepoly import (
     X,
     eval_rho,
     eval_rho_all,
+    falling_coefficients,
     falling_factorial,
     format_poly,
 )
@@ -173,6 +174,9 @@ def test_caches_are_bounded():
     for name in [
         "repstab._mnpure._row",
         "repstab.fbmodules.family_steps",
+        "repstab.fbmodules.parse_spec",
+        "repstab.fbmodules.stable_range",
+        "repstab.stability._scan",
         "repstab.frobenius._binomial_bases",
         "repstab.frobenius._strip_coefficients",
         "repstab.frobenius._strip_steps",
@@ -198,6 +202,9 @@ def test_clear_caches_empties_every_cache():
     assert sizes()["repstab.cyclepoly._monomial"] > 0
     assert sizes()["repstab.frobenius._binomial_bases"] > 0
     assert sizes()["repstab.frobenius._strip_steps"] > 0
+    for name in ["parse_spec", "stable_range"]:
+        assert sizes()[f"repstab.fbmodules.{name}"] > 0, name
+    assert sizes()["repstab.stability._scan"] == 2
     repstab.clear_caches()
     assert {name: n for name, n in sizes().items() if n} == {}
 
@@ -218,7 +225,7 @@ def test_falling_coefficients_against_ring_arithmetic():
     for n in range(13):
         terms = falling_factorial(X(1), n).terms
         expected = tuple(terms.get(((1, k),) if k else (), 0) for k in range(n + 1))
-        assert frobenius._falling_coefficients(n) == expected, n
+        assert falling_coefficients(n) == expected, n
 
 
 def test_module_polynomial_examples():
@@ -294,6 +301,15 @@ def test_binomial_coefficients_round_trip(poly):
     for rho, c in _fractions(binomial_coefficients(poly)).items():
         total = total + c * CharPolynomial.from_ints(*frobenius._binomial_basis(rho))
     assert total == poly
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials, st.integers(0, 12))
+def test_binomial_coefficients_up_to_top(poly, top):
+    # pruned as the variables are multiplied in: the rho with |rho| <= top
+    num, den = binomial_coefficients(poly)
+    kept = {rho: c for rho, c in num.items() if sum(rho) <= top}
+    assert binomial_coefficients(poly, top) == (kept, den)
 
 
 def test_frobenius_coefficients_of_stable_polynomials():

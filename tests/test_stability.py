@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import repstab
 from repstab import frobenius
 from repstab.characters import IrrDecomposition, decompose, inner_product, irr_character
-from repstab.cyclepoly import CharPolynomial, X, eval_rho_all
+from repstab.cyclepoly import CharPolynomial, X, cycle_poly, cycle_poly_product, eval_rho_all
 from repstab.fbmodules import (
     CycleModule,
     DirectSum,
@@ -19,12 +19,11 @@ from repstab.fbmodules import (
     WeightTruncateGT,
     WeightTruncateLE,
     character_at,
-    cycle_poly,
-    cycle_poly_product,
     family_steps,
     format_spec,
     parse_spec,
     socles_at,
+    stable_range,
     terms_at,
 )
 from repstab.partitions import Partition, partitions_of
@@ -32,6 +31,7 @@ from repstab.pieri import sum_steps
 from repstab.stability import (
     rank_pc_estimate,
     rank_rs_estimate,
+    stable_window,
     tensor_weight,
     tensor_weight_bound_holds,
     verify_equivalence,
@@ -586,3 +586,88 @@ def test_the_tensor_oracle_rejects_fractional_multiplicities(monkeypatch):
 @pytest.mark.parametrize("text", CI_SPECS)
 def test_ci_specs_against_the_per_degree_route(text):
     assert_the_walk_agrees(parse_spec(text), (0, 1, 5, 10, 30))
+
+
+# -- the stable range read off the tree ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('(proj 5 "3,2" "2,2,1" "3,1,1")', (8, 5)),
+        ("(proj 0 \"-\")", (0, 0)),
+        ("(vfam 2,1)", (3, 1)),
+        ("(vfam 2,1 padded)", (5, 3)),
+        ("(vfam -)", (0, 0)),
+        ("(cycle 3 2)", (10, 5)),
+        ("(tensor (vfam 2,1) (vfam 1))", (3, 1)),
+        # a cycle factor's own bound does not count, only twice the weight
+        ("(tensor (cycle 2) (trunc>= 9 (vfam 1)))", (9, 2)),
+        ("(tensor (trunc>= 9 (cycle 1)) (vfam 1 padded))", (9, 2)),
+        ("(sum)", (0, 0)),
+        ("(sum (vfam 2,1 padded) (cycle 2))", (5, 3)),
+        ("(trunc>= 9 (vfam 1))", (9, 0)),
+        ("(trunc>= 2 (vfam 2,1))", (3, 1)),
+        ('(wtrunc<= 2 (proj 4 "3,1"))', (7, 2)),
+        ('(wtrunc> 2 (proj 4 "3,1"))', (7, 4)),
+    ],
+)
+def test_stable_range_examples(text, expected):
+    assert stable_range(parse_spec(text)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(families)
+def test_stable_range_bounds_the_step_list(spec):
+    # no start past T and no socle past w; the per-degree route, which
+    # never reads T, finds the list's sums at T on the next degrees too
+    t, w = stable_range(spec)
+    assert w <= weight_bound(spec)
+    steps = family_steps(spec, t)
+    assert all(b <= t and s.size <= w for s, b, _ in steps), steps
+    assert family_steps(spec, t + 7) == steps
+    if weight_bound(spec) <= 10:
+        stable = sum_steps(steps, t)
+        for m in range(t, t + 4):
+            assert socles_by_degree(spec, m) == stable, m
+
+
+@settings(max_examples=100, deadline=None)
+@given(families)
+def test_scans_past_the_stable_window_match_the_walk(spec):
+    # a scan to m_max >= W runs at W; the walk reads every degree up to m_max
+    window = stable_window(spec)
+    if stable_range(spec)[1] > 8:
+        return
+    for m_max in (window, window + 3):
+        report = verify_equivalence(spec, m_max, budget=m_max)
+        assert report.m_max == report.certified_to == m_max
+        rank_rs, stable = rank_rs_by_walk(spec, m_max)
+        rank_pc, poly = rank_pc_by_walk(spec, m_max)
+        assert (report.rank_rs, report.stable_multiplicities) == (rank_rs, stable)
+        assert (report.rank_pc, report.poly) == (rank_pc, poly)
+        # the bound checks read P at max(2 * weight, rank_pc) inside the window
+        two_d = 0 if poly.is_zero() else 2 * poly.weighted_degree()
+        assert max(two_d, rank_pc) < window
+        assert len(report.bound_checks) == 4 and report.all_bounds_hold()
+
+
+def test_a_scan_past_the_window_is_a_fresh_report_of_one_cached_scan():
+    from repstab import stability
+
+    repstab.clear_caches()
+    spec = parse_spec("(cycle 3 2)")
+    assert stable_window(spec) == 11
+    first = verify_equivalence(spec, 14, budget=14)
+    first.stable_multiplicities.clear()
+    first.bound_checks.clear()
+    second = verify_equivalence(spec, 16, budget=16)
+    assert second.m_max == second.certified_to == 16
+    assert second.stable_multiplicities and len(second.bound_checks) == 4
+    assert second.to_json_dict() == {
+        **verify_equivalence(spec, 11, budget=11).to_json_dict(),
+        "m_max": 16,
+        "certified_to": 16,
+    }
+    info = stability._scan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
