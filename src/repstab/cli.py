@@ -3,12 +3,13 @@
 Subcommands, one row each of _COMMANDS: chartable, frobpoly, pieri,
 decompose, cyclepoly, rho, rankscan, tensorweight.  Every command takes
 --json for a versioned JSON document instead of the text table, --budget
-to override the cap on the degree and -h or --help.  The --json output is
-byte-identical to json.dumps(document, indent=2).  Exit codes:
-0 success, 1 usage or parse error, 2 budget exceeded, 3 a theorem bound
-check failed.
+to override the cap on the degree, which no library function takes, and
+-h or --help.  The --json output is byte-identical to json.dumps(document,
+indent=2).  Exit codes: 0 success, 1 usage or parse error or a closed
+stdout, 2 budget exceeded, 3 a theorem bound check failed.
 """
 
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 from .characters import ClassFunction, character_table, decompose
 from .cyclepoly import cycle_poly, eval_rho_all, format_poly, parse_poly
 from .errors import BudgetError, ParseError
-from .fbmodules import DEFAULT_BUDGET, check_budget, parse_spec
+from .fbmodules import check_degree, parse_spec
 from .frobenius import frobenius_poly_stable
 from .partitions import (
     cycle_types_of,
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_BOUND_FAILED = 3
+DEFAULT_BUDGET = 14
 
 
 class _ArgumentError(Exception):
@@ -154,7 +156,20 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
+def check_budget(m, budget):
+    """ValueError for a negative degree, BudgetError for one past the budget."""
+    check_degree(m)
+    if m > budget:
+        raise BudgetError(f"degree {m} exceeds the enumeration budget {budget}", m=m)
 
 
 def _emit(data):
@@ -323,7 +338,7 @@ def _cmd_rho(args):
 def _cmd_rankscan(args):
     spec = parse_spec(args.spec)
     check_budget(args.mmax, args.budget)
-    report = verify_equivalence(spec, args.mmax, budget=args.budget)
+    report = verify_equivalence(spec, args.mmax)
     if args.json:
         _emit(report.to_json_dict())
     else:

@@ -10,14 +10,15 @@ degree (family_steps): the entries (s, start, delta) by which the
 multiplicity of s[m] changes at start, in the layout of
 pieri.horizontal_strip_steps, one bounded cache for every node.  Each
 constructor maps its children's lists to its own.  An induced family
-takes its base's Pieri entries (pieri.induced_steps); a cycle module
-the entries of its cycle-count polynomial (frobenius.socle_steps, which
-reads classes of degree at most the polynomial's weight), in integers;
-a tensor product, between consecutive breakpoints of its factors, those
-of the product of their module polynomials.  A single-irreducible family
-is one entry, a direct sum merges lists, a degree truncation moves every
-start up to its cutoff and a weight truncation keeps the s by |s|, the
-weight of s[m].  No class of a listed degree is read.
+takes the Pieri entries of its base's pairs, cached on them; a cycle
+module the entries of its cycle-count polynomial (frobenius.socle_steps,
+which reads classes of degree at most the polynomial's weight), in
+integers; a tensor product, between consecutive breakpoints of its
+factors, those of the product of their module polynomials.  A
+single-irreducible family is one entry, a direct sum merges lists, a
+degree truncation moves every start up to its cutoff and a weight
+truncation keeps the s by |s|, the weight of s[m].  No class of a listed
+degree is read.
 
 The tree alone bounds each list (stable_range): every start is at most
 T and every socle s has |s| <= w, per constructor, so a list is built
@@ -27,8 +28,8 @@ At the API edge, the socle multiplicities at m (socles_at) are the
 prefix sums of the list up to m, and terms_at pads each socle s to s[m].
 character_at runs over the p(m) classes of S_m: cycle modules evaluate
 their polynomial on every class and tensor products multiply characters
-pointwise, so it stays an independent second route.  All three are
-guarded by an explicit degree budget.
+pointwise, so it stays an independent second route.  All three take any
+degree but a negative one (check_degree): the cap is the command line's.
 """
 
 import re
@@ -39,12 +40,10 @@ from itertools import repeat
 
 from .characters import ClassFunction, IrrDecomposition
 from .cyclepoly import cycle_poly_product, eval_rho_all
-from .errors import BudgetError, ParseError
+from .errors import ParseError
 from .frobenius import frobenius_poly_of_socles, socle_steps
 from .partitions import Partition, format_partition, parse_partition
-from .pieri import induced_steps, prefix_sums, sum_steps
-
-DEFAULT_BUDGET = 14
+from .pieri import horizontal_strip_steps, prefix_sums, sum_steps
 
 
 # -- family constructors ------------------------------------------------------
@@ -156,39 +155,35 @@ class WeightTruncateGT(_Family):
 # -- evaluation ---------------------------------------------------------------
 
 
-def terms_at(spec, m, budget=DEFAULT_BUDGET):
+def terms_at(spec, m):
     """Decomposition into irreducibles of the family at degree m: its
     socle multiplicities, each socle s padded to s[m]."""
-    socles = socles_at(spec, m, budget)
+    socles = socles_at(spec, m)
     return IrrDecomposition(m, {s.pad(m): n for s, n in socles.items()})
 
 
-def socles_at(spec, m, budget=DEFAULT_BUDGET):
+def socles_at(spec, m):
     """{s: multiplicity of s[m]} of the family at degree m, zero entries
     dropped, as a fresh dict: the sums of its step list."""
-    check_budget(m, budget)
+    check_degree(m)
     return sum_steps(family_steps(spec, m), m)
 
 
-def character_at(spec, m, budget=DEFAULT_BUDGET):
+def character_at(spec, m):
     """Character of the family at degree m.
 
     Cycle modules evaluate their cycle-count polynomial directly and tensor
     products multiply the factors' characters, keeping those paths
     independent of the step lists.
     """
-    check_budget(m, budget)
+    check_degree(m)
     return _character(spec, m)
 
 
-def check_budget(m, budget):
-    """Reject a negative degree (ValueError) or one past the budget (BudgetError)."""
+def check_degree(m):
+    """ValueError for a negative degree."""
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    if m > budget:
-        raise BudgetError(
-            f"degree {m} exceeds the enumeration budget {budget}", m=m
-        )
 
 
 @lru_cache(maxsize=1024)
@@ -238,7 +233,7 @@ def family_steps(spec, top):
         return family_steps(spec, stop)
     match spec:
         case Projective(base=w):
-            entries = induced_steps(w.items())
+            entries = horizontal_strip_steps(w.items())
         case VFamily(lam=lam, convention="socle"):
             entries = [(lam.socle(), lam.size, 1)]
         case VFamily(lam=lam):
@@ -326,7 +321,7 @@ def _character(spec, m):
                 total = total + _character(child, m)
             return total
         case _:
-            return terms_at(spec, m, m).character()
+            return terms_at(spec, m).character()
 
 
 def cycle_module_char(nu, m):

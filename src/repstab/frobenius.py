@@ -42,9 +42,9 @@ the same way.  For a module polynomial sum_s n_s F_s the f_mu are its
 g_mu (orthogonality of the kernel rows), integers already summed on the
 way out, so module_steps lists them directly; socle_steps takes any
 other polynomial through the basis B_rho and the kernel rows.  Both key
-one bounded cache of lists by the numerators of the f_mu in lowest
-terms, listed in one order, so a cycle module's polynomial and the same
-polynomial rebuilt from its socles share one list.
+the one cache of horizontal_strip_steps by the numerators of the f_mu in
+lowest terms, in one order, so a cycle module's polynomial, the same one
+rebuilt from its socles and an induced base holding its g_mu share a list.
 """
 
 from functools import lru_cache
@@ -241,7 +241,8 @@ def socle_steps(poly, top):
     """
     num, den = frobenius_coefficients(poly, top)
     common = gcd(den, *num.values())
-    return _strip_steps(tuple((mu, f // common) for mu, f in num.items())), den // common
+    pairs = tuple((mu, f // common) for mu, f in num.items())
+    return horizontal_strip_steps(pairs), den // common
 
 
 def module_steps(socles, top):
@@ -249,13 +250,4 @@ def module_steps(socles, top):
     {s: n} (frobenius_poly_of_socles) up to top, read off its g_mu, which
     are its f_mu in integers: the entries alone, over the denominator 1."""
     g = _strip_coefficients(frozenset(socles.items()))
-    return _strip_steps(tuple((mu, n) for mu, n in g.items() if mu.size <= top))
-
-
-@lru_cache(maxsize=1024)
-def _strip_steps(coefficients):
-    """horizontal_strip_steps of the pairs (mu, f), listed in the order of
-    _strip_coefficients, which frobenius_coefficients shares: a set read
-    off a polynomial and the same set read off socles are one key, their
-    list is built once, and the entries of one start keep that order."""
-    return horizontal_strip_steps(dict(coefficients))
+    return horizontal_strip_steps(tuple((mu, n) for mu, n in g.items() if mu.size <= top))

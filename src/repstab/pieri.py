@@ -12,9 +12,9 @@ involves m, so an induced family is a step function of m.  Its step list
 holds one entry (s, |s| + nu_1, multiplicity of nu) for each factor nu of
 the base and each s with nu/s a horizontal strip, sorted by the start
 |s| + nu_1; the factors at degree m are the s[m] of the entries that start
-at or below m.  horizontal_strip_steps lists the entries, induced_steps
-caches the list once per base, and prefix_sums reads the socle
-multiplicities at ascending degrees off it in one pass.  They stop
+at or below m.  horizontal_strip_steps lists the entries once per tuple
+of pairs (nu, f), in a cache frobenius shares, and prefix_sums reads the
+socle multiplicities at ascending degrees off it in one pass.  They stop
 changing once m reaches the last start, |nu| + nu_1 for the widest nu.
 """
 
@@ -26,17 +26,18 @@ from .characters import IrrDecomposition
 from .partitions import Partition
 
 
-def horizontal_strip_steps(weights):
-    """The entries (s, |s| + mu_1, f) for every mu: f in weights and every
-    s with mu/s a horizontal strip, that is mu_1 >= s_1 >= mu_2 >= s_2 >=
-    ..., as a tuple sorted by the start |s| + mu_1.
+@lru_cache(maxsize=1024)
+def horizontal_strip_steps(pairs):
+    """The entries (s, |s| + mu_1, f) for every pair (mu, f) of the tuple
+    pairs, each mu once, and every s with mu/s a horizontal strip, that is
+    mu_1 >= s_1 >= mu_2 >= s_2 >= ..., sorted by the start |s| + mu_1.
 
     By Pieri's rule s_mu h_(m - |mu|) holds s[m] once for each entry of mu
     for s that starts at or below m, and no other irreducible.
     """
     steps = []
     socles = {}  # parts -> one Partition per s, so dicts of s match by identity
-    for mu, f in weights.items():
+    for mu, f in pairs:
         first = mu.parts[0] if mu else 0
         ranges = (range(lo, hi + 1) for lo, hi in zip(mu.parts[1:] + (0,), mu.parts))
         for parts in product(*ranges):
@@ -48,12 +49,6 @@ def horizontal_strip_steps(weights):
                 s = socles[parts] = Partition.from_parts(parts)
             steps.append((s, sum(parts) + first, f))
     return tuple(sorted(steps, key=itemgetter(1)))
-
-
-@lru_cache(maxsize=1024)
-def induced_steps(base):
-    """horizontal_strip_steps of the (partition, multiplicity) pairs base."""
-    return horizontal_strip_steps(dict(base))
 
 
 def prefix_sums(steps, degrees):
@@ -81,7 +76,7 @@ def pieri_expand(nu, m):
     """
     if m < nu.size:
         raise ValueError(f"cannot expand a partition of {nu.size} to smaller m={m}")
-    return {s.pad(m) for s in sum_steps(induced_steps(((nu, 1),)), m)}
+    return {s.pad(m) for s in sum_steps(horizontal_strip_steps(((nu, 1),)), m)}
 
 
 def projective_terms(w, m):
@@ -91,5 +86,5 @@ def projective_terms(w, m):
     factor of w, carried with its multiplicity (the construction is
     additive and exact), read off the step list of w.
     """
-    socles = sum_steps(induced_steps(w.items()), m)  # empty below w.m
+    socles = sum_steps(horizontal_strip_steps(w.items()), m)  # empty below w.m
     return IrrDecomposition(m, {s.pad(m): n for s, n in socles.items()})

@@ -15,18 +15,18 @@ they do not prove.  verify_equivalence runs both and checks the bounds
 relating the two ranks at the breakpoints of the list.  Past the stable
 window W = max(T, 2w) + 1 of the family's stable range (T, w) no degree
 a scan reads changes, so verify_equivalence scans at min(m_max, W), once
-per family and window, and reports to m_max; tensor_weight and
-tensor_weight_bound_holds serve the tensorweight command.
+per family and window, and reports to m_max (no cap); tensor_weight, off
+a step list too, and tensor_weight_bound_holds serve tensorweight.
 """
 
 from functools import lru_cache
 from operator import itemgetter
 
-from .characters import decompose, irr_character
 from .cyclepoly import CharPolynomial, format_poly
 from .fbmodules import (
-    DEFAULT_BUDGET,
-    check_budget,
+    Tensor,
+    VFamily,
+    check_degree,
     family_steps,
     format_spec,
     stable_range,
@@ -78,7 +78,7 @@ class StabilityReport:
         }
 
 
-def rank_rs_estimate(spec, m_max, budget=DEFAULT_BUDGET):
+def rank_rs_estimate(spec, m_max):
     """Smallest N <= m_max from which the socle multiplicities are constant
     and every occurring socle s satisfies |s| + s_1 <= N.
 
@@ -86,7 +86,7 @@ def rank_rs_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     Constancy is only checked up to m_max: the multiplicities last change
     at the last start of the family's step list.
     """
-    check_budget(m_max, budget)
+    check_degree(m_max)
     steps = family_steps(spec, m_max)
     stable = sum_steps(steps, m_max)
     admissible = max((s.size + (s.parts[0] if s else 0) for s in stable), default=0)
@@ -94,7 +94,7 @@ def rank_rs_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     return None if n > m_max else (n, stable)
 
 
-def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
+def rank_pc_estimate(spec, m_max):
     """Smallest N such that the module polynomial taken at m_max evaluates to
     the family's character on every degree in [N, m_max].
 
@@ -109,7 +109,7 @@ def rank_pc_estimate(spec, m_max, budget=DEFAULT_BUDGET):
     or above |mu|, so the mu with |mu| <= m_max give every entry up to
     m_max.
     """
-    check_budget(m_max, budget)
+    check_degree(m_max)
     steps = family_steps(spec, m_max)
     socles = sum_steps(steps, m_max)
     poly = frobenius_poly_of_socles(socles)
@@ -141,7 +141,7 @@ def stable_window(spec):
     return max(t, 2 * w) + 1
 
 
-def verify_equivalence(spec, m_max, budget=DEFAULT_BUDGET):
+def verify_equivalence(spec, m_max):
     """Estimate both ranks and check every bound relating them.
 
     Bound checks (all certified on [0, m_max] only):
@@ -156,7 +156,7 @@ def verify_equivalence(spec, m_max, budget=DEFAULT_BUDGET):
     same ranks, polynomial, multiplicities and checks as at m_max, and is
     cached there; the report is a fresh one, certified to m_max.
     """
-    check_budget(m_max, budget)
+    check_degree(m_max)
     rank_rs, rank_pc, poly, stable, checks = _scan(spec, min(m_max, stable_window(spec)))
     return StabilityReport(spec, m_max, rank_rs, rank_pc, poly, dict(stable), list(checks))
 
@@ -166,8 +166,8 @@ def _scan(spec, m_max):
     """verify_equivalence at m_max, as (rank_rs, rank_pc, poly, stable
     multiplicities as pairs, bound checks as pairs), None where a rank is
     not reached."""
-    rs = rank_rs_estimate(spec, m_max, m_max)
-    pc = rank_pc_estimate(spec, m_max, m_max)
+    rs = rank_rs_estimate(spec, m_max)
+    pc = rank_pc_estimate(spec, m_max)
     rank_rs, stable = (None, {}) if rs is None else rs
     rank_pc, poly = (None, None) if pc is None else pc
     if rs is None or pc is None:
@@ -194,12 +194,14 @@ def _scan(spec, m_max):
 
 
 def tensor_weight(lam, mu, m):
-    """Weight of the tensor product of the irreducibles lam.pad(m) and mu.pad(m).
+    """Weight of the tensor product of the irreducibles lam.pad(m) and
+    mu.pad(m), read off the step list of the product of their padded families.
 
     Raises ValueError, from Partition.pad, when m is too small to pad either label.
     """
-    product = irr_character(lam.pad(m)) * irr_character(mu.pad(m))
-    return decompose(product).module_weight()
+    lam.pad(m), mu.pad(m)  # ValueError when m cannot pad a label
+    spec = Tensor(VFamily(lam, "padded"), VFamily(mu, "padded"))
+    return max((s.size for s in sum_steps(family_steps(spec, m), m)), default=0)
 
 
 def tensor_weight_bound_holds(w, bound, m):

@@ -2,10 +2,12 @@
 
 Everything here works directly with permutations as tuples (images of
 0..m-1) or with elementary recurrences, never through the library's own
-algorithms, so that agreement is meaningful.  The one exception is the
-last section, which evaluates a family one degree at a time from the
+algorithms, so that agreement is meaningful.  The exceptions are the
+last two sections: one evaluates a family one degree at a time from the
 library's per-polynomial step lists, as a second route to the family's
-composed step list.
+composed step list; the other takes the weight of a tensor product of
+irreducibles on the library's class route, as a second route to the one
+read off a step list.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, gcd
 
-from repstab.characters import ClassFunction, irr_row
+from repstab.characters import ClassFunction, decompose, irr_character, irr_row
 from repstab.cyclepoly import CharPolynomial, X, cycle_poly_product, falling_factorial
 from repstab.errors import BudgetError
 from repstab.fbmodules import (
@@ -28,7 +30,7 @@ from repstab.fbmodules import (
 )
 from repstab.frobenius import frobenius_poly_of_socles, socle_steps
 from repstab.partitions import Partition, classes, cycle_types_of, format_cycle_type
-from repstab.pieri import induced_steps, sum_steps
+from repstab.pieri import horizontal_strip_steps, sum_steps
 
 # direct enumeration of S_m stops being reasonable past this degree
 INDUCTION_MAX_DEGREE = 8
@@ -478,7 +480,7 @@ def socles_by_degree(spec, m):
     """{s: multiplicity of s[m]} of the family at degree m, zero entries dropped."""
     match spec:
         case Projective(base=w):
-            return {} if m < w.m else sum_steps(induced_steps(w.items()), m)
+            return {} if m < w.m else sum_steps(horizontal_strip_steps(w.items()), m)
         case VFamily(lam=lam, convention=conv):
             if conv == "socle":
                 return {} if m < lam.size else {lam.socle(): 1}
@@ -535,3 +537,17 @@ def rank_pc_by_walk(spec, m_max):
     while n > 0 and decompose_poly(poly, n - 1) == socles_by_degree(spec, n - 1):
         n -= 1
     return None if n == m_max > 0 else (n, poly)
+
+
+# -- a tensor weight on the class route ----------------------------------------
+#
+# The library reads the weight of a tensor product of two padded
+# irreducibles off the step list of the product of their families
+# (stability.tensor_weight).  This multiplies their characters on every
+# class of S_m through the kernel and decomposes the product.
+
+
+def tensor_weight_by_classes(lam, mu, m):
+    """stability.tensor_weight(lam, mu, m) over the p(m) classes of S_m."""
+    product = irr_character(lam.pad(m)) * irr_character(mu.pad(m))
+    return decompose(product).module_weight()

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from repstab.characters import inner_product, irr_character
 from repstab.cyclepoly import CharPolynomial, X, eval_rho, eval_rho_all, falling_factorial
-from repstab.fbmodules import DEFAULT_BUDGET, DirectSum, VFamily, terms_at
+from repstab.fbmodules import DirectSum, VFamily, terms_at
 from repstab.frobenius import frobenius_poly_of_module
 from repstab.partitions import Partition, cycle_types_of, partitions_of
 from repstab.stability import rank_pc_estimate
@@ -218,7 +218,7 @@ def double_first(lam):
     return Partition((lam.parts[0],) + lam.parts)
 
 
-def reconstruct_stable_family(spec, m_max, budget=DEFAULT_BUDGET):
+def reconstruct_stable_family(spec, m_max):
     """Rebuild the family as a direct sum of single-irreducible families.
 
     Anchors at M = max(2 * weight, rank_pc): each factor of the degree-M
@@ -227,7 +227,7 @@ def reconstruct_stable_family(spec, m_max, budget=DEFAULT_BUDGET):
     every admissible degree.  Returns None when the family is not
     polynomially stable in the window or M exceeds it.
     """
-    pc = rank_pc_estimate(spec, m_max, budget)
+    pc = rank_pc_estimate(spec, m_max)
     if pc is None:
         return None
     n, poly = pc
@@ -236,7 +236,7 @@ def reconstruct_stable_family(spec, m_max, budget=DEFAULT_BUDGET):
     if anchor > m_max:
         return None
     children = []
-    for mu, mult in terms_at(spec, anchor, budget).items():
+    for mu, mult in terms_at(spec, anchor).items():
         lam = mu.socle()
         children.extend([VFamily(double_first(lam))] * mult)
     return DirectSum(tuple(children))

@@ -3,15 +3,28 @@ contracts of the class arguments."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
 
 import repstab
 from repstab.characters import ClassFunction, irr_char
+from repstab.fbmodules import VFamily
 from repstab.partitions import Partition
 
-LAYERS = pathlib.Path(__file__).parents[1] / "perfbench" / "layers.py"
+ROOT = pathlib.Path(__file__).parents[1]
+LAYERS = ROOT / "perfbench" / "layers.py"
+
+# the library functions that take a degree of a family, and no cap on it
+DEGREE_FUNCTIONS = (
+    ("fbmodules", "socles_at"),
+    ("fbmodules", "terms_at"),
+    ("fbmodules", "character_at"),
+    ("stability", "rank_rs_estimate"),
+    ("stability", "rank_pc_estimate"),
+    ("stability", "verify_equivalence"),
+)
 
 # names perfbench reaches besides the SPANS pairs of layers.py
 HARNESS_NAMES = (
@@ -55,6 +68,25 @@ def test_every_name_the_benchmark_reaches_resolves():
     assert ("partitions", "cycle_types_of") in pairs
     for module, name in pairs + HARNESS_NAMES:
         assert callable(resolve(module, name)), (module, name)
+
+
+@pytest.mark.parametrize("module, name", DEGREE_FUNCTIONS)
+def test_the_library_takes_no_budget_and_rejects_a_negative_degree(module, name):
+    function = resolve(module, name)
+    assert list(inspect.signature(function).parameters) in (["spec", "m"], ["spec", "m_max"])
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        function(VFamily(Partition([1])), -1)
+
+
+def test_the_degree_cap_lives_in_the_command_line_alone():
+    holders = {
+        path.stem: [n for n in ("check_budget", "DEFAULT_BUDGET") if hasattr(module, n)]
+        for path in sorted((ROOT / "src" / "repstab").glob("*.py"))
+        for module in [importlib.import_module(f"repstab.{path.stem}")]
+    }
+    assert {stem: names for stem, names in holders.items() if names} == {
+        "cli": ["check_budget", "DEFAULT_BUDGET"]
+    }
 
 
 @pytest.mark.parametrize(

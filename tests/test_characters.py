@@ -163,7 +163,7 @@ def test_decompose_roundtrip(m, data):
 
 
 def test_decompose_stops_after_the_last_factor(monkeypatch):
-    f = character_at(parse_spec("(cycle 2 1)"), 17, budget=17)
+    f = character_at(parse_spec("(cycle 2 1)"), 17)
     repstab.clear_caches()
     rows = []
     char_row = _mnpure.char_row

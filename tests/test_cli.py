@@ -280,7 +280,7 @@ def test_bound_check_failure_exit_3(capsys, monkeypatch):
     import repstab.cli as cli_mod
     from repstab.stability import StabilityReport
 
-    def failing(spec, m_max, budget):
+    def failing(spec, m_max):
         report = StabilityReport(spec=spec, m_max=m_max)
         report.bound_checks.append(("rank_pc_le_rank_rs", False))
         return report
@@ -308,6 +308,24 @@ def test_entry_point_subprocess():
     out = _run_python("-m", "repstab", "cyclepoly", "1")
     assert out.returncode == 0
     assert out.stdout.strip() == "X1"
+
+
+def test_a_reader_that_closes_the_pipe_gets_no_traceback():
+    # the table of degree 14 is about 220 kB, more than a pipe holds, so
+    # the command is still writing when the reader closes after 10 bytes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repstab", "chartable", "14"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        cwd=str(pathlib.Path(__file__).parent.parent),
+    )
+    assert proc.stdout.read(10) == b"character "
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=20) == 1
+    assert "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("spec", ["(cycle 800)", "(tensor (cycle 800) (vfam 1))"])

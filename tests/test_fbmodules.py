@@ -4,7 +4,7 @@ import pytest
 
 from repstab.characters import IrrDecomposition, decompose, irr_character
 from repstab.cyclepoly import X, cycle_poly, eval_rho, parse_poly
-from repstab.errors import BudgetError, ParseError
+from repstab.errors import ParseError
 from repstab.fbmodules import (
     CycleModule,
     DirectSum,
@@ -243,11 +243,9 @@ def test_consistency_terms_vs_character():
 
 
 def test_budget_errors():
-    with pytest.raises(BudgetError):
-        terms_at(CycleModule(P(1)), 15)
-    with pytest.raises(BudgetError):
-        character_at(CycleModule(P(1)), 20, budget=19)
-    assert terms_at(CycleModule(P(1)), 15, budget=15).m == 15
+    # the cap on the degree is the command line's: the library takes a
+    # degree past its default of 14
+    assert terms_at(CycleModule(P(1)), 15).m == 15
 
 
 def test_spec_language_examples():

@@ -1,12 +1,13 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repstab
-from repstab import frobenius
+from repstab import frobenius, pieri
 from repstab.characters import IrrDecomposition, decompose, inner_product, irr_character
 from repstab.cyclepoly import CharPolynomial, X, cycle_poly, cycle_poly_product, eval_rho_all
 from repstab.fbmodules import (
@@ -39,7 +40,12 @@ from repstab.stability import (
 
 import bruteforce
 import lemmas
-from bruteforce import rank_pc_by_walk, rank_rs_by_walk, socles_by_degree
+from bruteforce import (
+    rank_pc_by_walk,
+    rank_rs_by_walk,
+    socles_by_degree,
+    tensor_weight_by_classes,
+)
 from lemmas import (
     low_weight_class_function_count,
     matrix_rank,
@@ -254,7 +260,7 @@ def test_negative_m_max_rejected(estimator):
 
 def _cold_scan(text, m_max):
     repstab.clear_caches()
-    report = verify_equivalence(parse_spec(text), m_max, budget=m_max)
+    report = verify_equivalence(parse_spec(text), m_max)
     assert report.all_bounds_hold()
     return report
 
@@ -276,7 +282,7 @@ def test_cold_scan_builds_no_irr_decomposition(monkeypatch, text, m_max):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(IrrDecomposition, "__init__", counting_init)
-    report = verify_equivalence(spec, m_max, budget=m_max)
+    report = verify_equivalence(spec, m_max)
     assert report.all_bounds_hold()
     assert built == []
 
@@ -300,12 +306,12 @@ def test_cold_pieri_scan_computes_no_class_size(monkeypatch):
 
 def test_cold_pieri_scan_builds_its_step_list_once():
     # the horizontal strips of the base are listed once, into the family's
-    # one step list, and the whole scan reads that list
-    from repstab import pieri
-
+    # one step list, and the whole scan reads that list; rank_pc's module
+    # polynomial holds the g_mu of the socles at m_max, the same pairs as
+    # the base, and finds their list built
     _cold_scan('(proj 5 "3,2" "2,2,1" "3,1,1")', 28)
-    info = pieri.induced_steps.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
+    info = pieri.horizontal_strip_steps.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_cold_pieri_scan_sums_each_module_polynomial_once():
@@ -313,7 +319,7 @@ def test_cold_pieri_scan_sums_each_module_polynomial_once():
     # step list: the scan reads it at m_max for rank_pc, then once at each
     # degree the bound checks visit, lo = max(2 * weight, rank_pc) and every
     # later start; the bounds keep every start at or below lo
-    from repstab import frobenius
+    from repstab import frobenius, pieri
 
     text = '(proj 5 "3,2" "2,2,1" "3,1,1")'
     report = _cold_scan(text, 28)
@@ -328,7 +334,7 @@ def test_cold_cycle_scan_builds_its_polynomial_steps_once():
     # the family's list comes from the cycle polynomial's f_mu, rank_pc's
     # from the g_mu of the socles at m_max: one coefficient set, one build
     _cold_scan("(cycle 3 2)", 20)
-    info = frobenius._strip_steps.cache_info()
+    info = pieri.horizontal_strip_steps.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
@@ -383,6 +389,44 @@ def test_tensor_weight_check_examples():
     assert tensor_weight_bound_holds(tensor_weight(P(1), P(1), 3), 2, 3)
     with pytest.raises(ValueError):
         tensor_weight(P(2, 1), P(1), 4)
+
+
+def test_tensor_weight_matches_the_class_route():
+    # every pair of labels with |lam| <= 4 and |mu| <= 3 at every m <= 14:
+    # the weight read off the step list is the one of the product of the
+    # two characters, decomposed, or both raise the same ValueError
+    def labels(top):
+        return [lam for k in range(top + 1) for lam in partitions_of(k)]
+
+    cases = list(product(labels(4), labels(3), range(15)))
+    assert len(cases) == 1260
+    for lam, mu, m in cases:
+        try:
+            expected = tensor_weight_by_classes(lam, mu, m)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                tensor_weight(lam, mu, m)
+            assert str(raised.value) == str(exc), (lam, mu, m)
+        else:
+            assert tensor_weight(lam, mu, m) == expected, (lam, mu, m)
+
+
+def test_tensor_weight_reads_no_class_above_the_label_sizes(monkeypatch):
+    # 3,2 and 2,1 padded to 22: the product of their families' polynomials,
+    # of weights 5 and 3, has its f_mu at |mu| <= 8, whatever m is
+    from repstab import partitions
+
+    asked = []
+    build = partitions.Classes
+
+    def counting_build(m):
+        asked.append(m)
+        return build(m)
+
+    monkeypatch.setattr(partitions, "Classes", counting_build)
+    repstab.clear_caches()
+    assert tensor_weight(P(3, 2), P(2, 1), 22) == 8
+    assert asked and max(asked) <= 8, sorted(set(asked))
 
 
 def test_tensor_square_weight_frozen():
@@ -460,13 +504,13 @@ def test_random_family_round_trips_and_certifies(spec):
     assert parse_spec(format_spec(spec)) == spec
     assert hash(parse_spec(format_spec(spec))) == hash(spec)
     for m in range(11):
-        chi = character_at(spec, m, budget=10)
-        terms = terms_at(spec, m, budget=10)
+        chi = character_at(spec, m)
+        terms = terms_at(spec, m)
         assert terms.character() == chi, m
         # the second route: the character decomposed on the classes of degree m
         assert terms == decompose(chi), m
-        assert socles_at(spec, m, budget=10) == terms.socle_multiplicities(), m
-    report = verify_equivalence(spec, 10, budget=10)
+        assert socles_at(spec, m) == terms.socle_multiplicities(), m
+    report = verify_equivalence(spec, 10)
     if report.rank_rs is not None and report.rank_pc is not None:
         assert report.bound_checks and report.all_bounds_hold(), report.bound_checks
         # the exact identity, with the steps of P restricted to the window
@@ -519,7 +563,7 @@ CI_SPECS = (
 def test_rank_rs_is_max_of_rank_pc_and_the_last_step(text):
     # (PC) => (RS) exactly: from rank_pc on the family's socle multiplicities
     # are those of P, and those stop changing at N_P
-    report = verify_equivalence(parse_spec(text), 30, budget=30)
+    report = verify_equivalence(parse_spec(text), 30)
     n_p = last_net_step(report.poly)
     assert n_p <= 2 * report.poly.weighted_degree() <= 30
     assert report.rank_rs == max(report.rank_pc, n_p), (report.rank_pc, n_p)
@@ -552,8 +596,8 @@ def assert_the_walk_agrees(spec, windows):
         steps = family_steps(spec, window)
         for m in range(window + 1):
             assert sum_steps(steps, m) == socles_by_degree(spec, m), (window, m)
-        assert rank_rs_estimate(spec, window, window) == rank_rs_by_walk(spec, window)
-        assert rank_pc_estimate(spec, window, window) == rank_pc_by_walk(spec, window)
+        assert rank_rs_estimate(spec, window) == rank_rs_by_walk(spec, window)
+        assert rank_pc_estimate(spec, window) == rank_pc_by_walk(spec, window)
 
 
 @settings(max_examples=150, deadline=None)
@@ -640,7 +684,7 @@ def test_scans_past_the_stable_window_match_the_walk(spec):
     if stable_range(spec)[1] > 8:
         return
     for m_max in (window, window + 3):
-        report = verify_equivalence(spec, m_max, budget=m_max)
+        report = verify_equivalence(spec, m_max)
         assert report.m_max == report.certified_to == m_max
         rank_rs, stable = rank_rs_by_walk(spec, m_max)
         rank_pc, poly = rank_pc_by_walk(spec, m_max)
@@ -658,14 +702,14 @@ def test_a_scan_past_the_window_is_a_fresh_report_of_one_cached_scan():
     repstab.clear_caches()
     spec = parse_spec("(cycle 3 2)")
     assert stable_window(spec) == 11
-    first = verify_equivalence(spec, 14, budget=14)
+    first = verify_equivalence(spec, 14)
     first.stable_multiplicities.clear()
     first.bound_checks.clear()
-    second = verify_equivalence(spec, 16, budget=16)
+    second = verify_equivalence(spec, 16)
     assert second.m_max == second.certified_to == 16
     assert second.stable_multiplicities and len(second.bound_checks) == 4
     assert second.to_json_dict() == {
-        **verify_equivalence(spec, 11, budget=11).to_json_dict(),
+        **verify_equivalence(spec, 11).to_json_dict(),
         "m_max": 16,
         "certified_to": 16,
     }
