@@ -169,7 +169,7 @@ def check_budget(m, budget):
     """ValueError for a negative degree, BudgetError for one past the budget."""
     check_degree(m)
     if m > budget:
-        raise BudgetError(f"degree {m} exceeds the enumeration budget {budget}", m=m)
+        raise BudgetError(f"degree {m} exceeds the enumeration budget {budget}")
 
 
 def _emit(data):

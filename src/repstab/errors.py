@@ -14,7 +14,3 @@ class ParseError(ValueError):
 
 class BudgetError(RuntimeError):
     """Raised when a computation would exceed the configured enumeration budget."""
-
-    def __init__(self, message, m=None):
-        self.m = m
-        super().__init__(message)

@@ -33,7 +33,6 @@ degree but a negative one (check_degree): the cap is the command line's.
 """
 
 import re
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -481,7 +480,10 @@ def _build(head, args, pos):
     if head == "proj":
         usage(args, '(proj n "parts" ...) needs a degree')
         n = integer(args[0])
-        lams = Counter(partition(a, n) for a in args[1:])
+        lams = {}
+        for a in args[1:]:
+            lam = partition(a, n)
+            lams[lam] = lams.get(lam, 0) + 1
         return Projective(IrrDecomposition(n, lams))
     if head == "cycle":
         usage(args, "(cycle parts...) needs at least one part")

@@ -18,8 +18,12 @@ the socle s is sum_rho c_rho B_rho, B_rho = prod_i C(X_i, m_i(rho)): it
 depends only on s, has weight |s|, and is chi_{s[n]} at every admissible
 n.  A module's polynomial sum_s n_s F_s takes one route for one socle or
 many: g_mu = sum_s n_s (-1)^{|s/mu|} over the vertical strips s/mu, then
-c_rho = sum_mu g_mu chi_mu(rho), one kernel row per mu, then one integer
-sum over the B_rho.
+c_rho = sum_mu g_mu chi_mu(rho), one kernel row per mu read by its parts
+and summed a row at a time, then one integer sum over the B_rho.  That sum
+is dense: every monomial of weight <= the top degree has a fixed slot in
+one list (weight-major, each weight in reverse print order), so one gcd
+reduces the list and one backward read gives the monomials in the order
+format_poly prints them.
 
 The way back, from a polynomial P to its multiplicities, runs through
 the same basis.  B_rho taken at degree m is the character induced from
@@ -48,12 +52,13 @@ rebuilt from its socles and an induced base holding its g_mu share a list.
 """
 
 from functools import lru_cache
-from itertools import groupby, repeat
+from itertools import chain, compress, groupby, repeat
 from math import factorial, gcd
+from operator import add, floordiv, mul, sub
 
-from .characters import irr_row
+from . import _mnpure
 from .cyclepoly import CharPolynomial, falling_coefficients
-from .partitions import Partition, centralizer_order, classes, partitions_of
+from .partitions import Partition, centralizer_order, classes
 from .pieri import horizontal_strip_steps
 
 
@@ -70,40 +75,49 @@ def frobenius_poly_stable(soc):
 @lru_cache(maxsize=1024)
 def _poly_of_socles(pairs):
     """The sum of n F_s over the frozenset of pairs (s, n), by the route of
-    the module docstring, over a common denominator of the B_rho."""
-    c = {}  # degree k -> the c_rho over the classes rho of degree k
-    for mu, n in _strip_coefficients(pairs).items():
-        k = mu.size
-        c[k] = [a + n * x for a, x in zip(c.get(k, repeat(0)), irr_row(mu))]
-    den = factorial(max(c, default=0))  # every prod_i m_i(rho)! divides it
-    num = {}
-    for k, row in c.items():
+    the module docstring, in one dense pass: the c_rho of each degree are
+    summed row by row, and the B_rho into one list over a common
+    denominator, a slot per monomial of weight <= the top degree (its
+    _monomial_positions), read back from the last slot in print order."""
+    rows = {}  # degree k -> the c_rho over the classes rho of degree k
+    for parts, n in _strip_coefficients(pairs).items():
+        k, row = sum(parts), _mnpure.char_row(parts)
+        if n == 1 or n == -1:
+            op = add if n == 1 else sub
+        else:
+            op, row = add, map(mul, row, repeat(n))
+        rows[k] = list(map(op, rows.get(k, repeat(0)), row))
+    top = max(rows, default=0)
+    den = factorial(top)  # every prod_i m_i(rho)! divides it
+    acc = [0] * _monomial_count(top)
+    for k, row in rows.items():
         bases, cycles = _binomial_bases(k), classes(k).cycles
         for j, x in enumerate(row):
             if x:
-                if bases[j] is None:
-                    bases[j] = _binomial_basis(cycles[j])
-                b_num, b_den = bases[j]
+                basis = bases[j]
+                if basis is None:
+                    basis = bases[j] = _binomial_basis(cycles[j])
+                terms, b_den = basis
                 x *= den // b_den
-                for mono, b in b_num.items():
-                    num[mono] = num.get(mono, 0) + x * b
-    return CharPolynomial.from_ints(num, den)
+                for pos, b in terms:
+                    acc[pos] += x * b
+    g = gcd(den, *acc)
+    coefs = list(map(floordiv, reversed(acc), repeat(g)))  # in print order
+    monos = chain.from_iterable(map(_monomial_positions, range(top, -1, -1)))
+    return CharPolynomial.from_ints(dict(compress(zip(monos, coefs), coefs)), den // g)
 
 
 @lru_cache(maxsize=1024)
 def _strip_coefficients(pairs):
-    """{mu: g_mu}, g_mu = sum of n (-1)^{|s/mu|} over the pairs (s, n) of
-    the frozenset pairs and the vertical strips s/mu, zero entries dropped:
-    the f_mu of the sum of the n F_s.  Summed on the parts of mu, so each
-    mu becomes a Partition once, and ordered by |mu|, each degree as
-    partitions_of lists it (descending parts)."""
+    """{parts of mu: g_mu}, g_mu = sum of n (-1)^{|s/mu|} over the pairs
+    (s, n) of the frozenset pairs and the vertical strips s/mu, zero entries
+    dropped: the f_mu of the sum of the n F_s, keyed by the descending
+    tuple of mu and in no fixed order."""
     g = {}
     for s, n in pairs:
         for parts, sign in _vertical_strips(s):
             g[parts] = g.get(parts, 0) + sign * n
-    ordered = sorted(g.items(), reverse=True)
-    ordered.sort(key=lambda item: sum(item[0]))  # stable: keeps the order in a degree
-    return {Partition.from_parts(parts): n for parts, n in ordered if n}
+    return {parts: n for parts, n in g.items() if n}
 
 
 def _vertical_strips(soc):
@@ -114,12 +128,45 @@ def _vertical_strips(soc):
     strips = [((), 1)]  # a part 1 that loses its box leaves no part
     for part, run in groupby(soc.parts):
         n = len(tuple(run))
-        strips = [
-            (parts + (part,) * (n - k) + (part - 1,) * (k * (part > 1)), sign * (-1) ** k)
-            for parts, sign in strips
-            for k in range(n + 1)
+        suffixes = [
+            ((part,) * (n - k) + (part - 1,) * (k * (part > 1)), (-1) ** k) for k in range(n + 1)
         ]
+        strips = [(parts + tail, sign * t) for parts, sign in strips for tail, t in suffixes]
     return strips
+
+
+@lru_cache(maxsize=64)
+def _monomial_positions(w):
+    """{mono: slot} over the monomials of weight w, inserted in print order
+    (format_poly: variables lexicographically).  The slots run in reverse
+    print order and depend on w alone: weight-major, the monomials of
+    weight < w first, then those of weight w from the last printed one to
+    the first, so one list holds every polynomial of weight <= w and is
+    printed by reading it backwards.
+
+    A monomial is its first variable X_v with exponent e, then a monomial
+    of weight w - v e in variables past X_v: in print order, the pairs
+    (v, e) ascending, each followed by those of weight w - v e whose first
+    variable is past v, in their print order.
+    """
+    if not w:
+        return {(): 0}
+    monos = []
+    for v in range(1, w + 1):
+        for e in range(1, w // v + 1):
+            rest = w - v * e
+            if not rest:
+                monos.append(((v, e),))
+            elif rest > v:  # else no monomial of weight rest starts past X_v
+                monos += [((v, e),) + tail for tail in _monomial_positions(rest) if tail[0][0] > v]
+    end = _monomial_count(w - 1) + len(monos)
+    return dict(zip(monos, range(end - 1, -1, -1)))
+
+
+def _monomial_count(w):
+    """The number of monomials of weight <= w, one past the slot of the
+    first one printed of weight w."""
+    return next(iter(_monomial_positions(w).values())) + 1
 
 
 @lru_cache(maxsize=64)
@@ -132,24 +179,21 @@ def _binomial_bases(k):
 
 def _binomial_basis(rho):
     """B_rho = prod_i C(X_i, m_i(rho)) for the descending cycle tuple rho,
-    the number of rho-typed stable subsets, as (num, den): B_rho =
-    sum num[mono] / den mono, den > 0.
+    the number of rho-typed stable subsets, as (terms, den): B_rho = sum of
+    b / den times the monomial in slot pos (_monomial_positions) over the
+    pairs (pos, b) of terms, den > 0.
 
     Each factor is the falling factorial of X_i over m_i!, and the factors
     share no variable, so B_rho is built in integers over prod_i m_i!.
     """
-    num = {(): 1}
+    monos = [((), 0, 1)]  # (monomial, weight, coefficient)
     den = 1
     for i in sorted(set(rho)):
         k = rho.count(i)
         den *= factorial(k)
-        num = {
-            mono + ((i, j),): c * s
-            for mono, c in num.items()
-            for j, s in enumerate(falling_coefficients(k))
-            if s
-        }
-    return num, den
+        row = tuple(enumerate(falling_coefficients(k)[1:], 1))  # s(k, j) != 0 for j >= 1
+        monos = [(mono + ((i, j),), w + i * j, c * s) for mono, w, c in monos for j, s in row]
+    return tuple((_monomial_positions(w)[mono], c) for mono, w, c in monos), den
 
 
 def frobenius_poly_of_module(dec):
@@ -209,8 +253,8 @@ def _power_coefficients(e):
 def frobenius_coefficients(poly, top=None):
     """The f_mu of poly: (num, den) with f_mu = num[mu] / den for every
     partition mu with |mu| <= top (default: all of them, up to the weight
-    of poly), den > 0, zero entries dropped, num in the order of
-    _strip_coefficients.
+    of poly), den > 0, zero entries dropped, num ordered by |mu|, each
+    degree as partitions_of lists it: the order module_steps gives its g_mu.
 
     Only kernel rows of degree <= top, and <= weight(poly), are read.
     """
@@ -221,13 +265,13 @@ def frobenius_coefficients(poly, top=None):
     scale = factorial(max(by_degree, default=0))  # every z_rho divides it
     num = {}
     for k, pairs in sorted(by_degree.items()):
-        index = classes(k).index
-        weights = [(index[rho], c * (scale // centralizer_order(rho))) for rho, c in pairs]
-        for mu in partitions_of(k):
-            row = irr_row(mu)
-            f = sum(w * row[j] for j, w in weights)
+        cls = classes(k)
+        at = [cls.index[rho] for rho, _ in pairs]
+        weights = [c * (scale // centralizer_order(rho)) for rho, c in pairs]
+        for parts in cls.cycles:  # the partitions of k, as partitions_of lists them
+            f = sum(map(mul, weights, map(_mnpure.char_row(parts).__getitem__, at)))
             if f:
-                num[mu] = f
+                num[Partition.from_parts(parts)] = f
     return num, den * scale
 
 
@@ -250,4 +294,12 @@ def module_steps(socles, top):
     {s: n} (frobenius_poly_of_socles) up to top, read off its g_mu, which
     are its f_mu in integers: the entries alone, over the denominator 1."""
     g = _strip_coefficients(frozenset(socles.items()))
-    return horizontal_strip_steps(tuple((mu, n) for mu, n in g.items() if mu.size <= top))
+    top = min(top, max(map(sum, g), default=0))
+    return horizontal_strip_steps(
+        tuple(
+            (Partition.from_parts(parts), g[parts])
+            for k in range(top + 1)
+            for parts in classes(k).cycles  # as partitions_of lists them
+            if parts in g
+        )
+    )

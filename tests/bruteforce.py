@@ -303,7 +303,7 @@ def induce_bruteforce(chi, m, max_degree=INDUCTION_MAX_DEGREE):
     if m < n:
         raise ValueError(f"cannot induce from degree {n} to smaller degree {m}")
     if m > max_degree:
-        raise BudgetError(f"induction by enumeration capped at degree {max_degree}", m=m)
+        raise BudgetError(f"induction by enumeration capped at degree {max_degree}")
     if m == n:
         return ClassFunction(m, dict(chi.values))
 

@@ -148,11 +148,50 @@ socle_multiplicities = st.dictionaries(
 )
 
 
+def print_key(mono):
+    """format_poly's order: weight descending, then the variables
+    lexicographically."""
+    return -sum(v * e for v, e in mono), mono
+
+
 @settings(max_examples=80, deadline=None)
 @given(socle_multiplicities)
 def test_module_polynomial_matches_the_per_socle_sum(socles):
-    # zero multiplicities included: they add nothing
-    assert frobenius_poly_of_socles(socles) == poly_of_socles_by_sum(socles)
+    # zero multiplicities included: they add nothing; the one dense pass
+    # emits the monomials already in print order
+    poly = frobenius_poly_of_socles(socles)
+    assert poly == poly_of_socles_by_sum(socles)
+    assert list(poly.num) == sorted(poly.num, key=print_key)
+
+
+def test_monomial_positions_hold_each_weight_in_print_order():
+    # weight w holds its p(w) monomials, in print order, on the slots just
+    # past those of weight < w, numbered from the last printed one
+    end = 0
+    for w in range(16):
+        table = frobenius._monomial_positions(w)
+        assert len(table) == len(classes(w).cycles), w
+        assert all(sum(v * e for v, e in mono) == w for mono in table), w
+        for mono in table:  # canonical: variables ascending, exponents positive
+            variables = [v for v, _ in mono]
+            assert variables == sorted(set(variables)) and all(e > 0 for _, e in mono), mono
+        assert list(table) == sorted(table, key=print_key), w
+        assert list(table.values()) == list(range(end + len(table) - 1, end - 1, -1)), w
+        end += len(table)
+        assert frobenius._monomial_count(w) == end, w
+
+
+def basis_terms(rho):
+    """frobenius._binomial_basis(rho) with its slots read back as
+    monomials: (num, den), B_rho = sum of num[mono] / den mono."""
+    terms, den = frobenius._binomial_basis(rho)
+    monos = {
+        slot: mono
+        for w in range(sum(rho) + 1)
+        for mono, slot in frobenius._monomial_positions(w).items()
+    }
+    assert len({slot for slot, _ in terms}) == len(terms), rho  # each slot once
+    return {monos[slot]: b for slot, b in terms}, den
 
 
 def library_caches():
@@ -178,6 +217,7 @@ def test_caches_are_bounded():
         "repstab.fbmodules.stable_range",
         "repstab.stability._scan",
         "repstab.frobenius._binomial_bases",
+        "repstab.frobenius._monomial_positions",
         "repstab.frobenius._strip_coefficients",
         "repstab.pieri.horizontal_strip_steps",
         "repstab.cyclepoly._monomial",
@@ -201,6 +241,7 @@ def test_clear_caches_empties_every_cache():
 
     assert sizes()["repstab.cyclepoly._monomial"] > 0
     assert sizes()["repstab.frobenius._binomial_bases"] > 0
+    assert sizes()["repstab.frobenius._monomial_positions"] > 0
     assert sizes()["repstab.pieri.horizontal_strip_steps"] > 0
     for name in ["parse_spec", "stable_range"]:
         assert sizes()[f"repstab.fbmodules.{name}"] > 0, name
@@ -218,7 +259,7 @@ def test_binomial_basis_against_ring_arithmetic():
             for i in set(rho):
                 k = rho.count(i)
                 expected = expected * falling_factorial(X(i), k) / factorial(k)
-            assert frobenius._binomial_basis(rho) == (expected.num, expected.den), rho
+            assert basis_terms(rho) == (expected.num, expected.den), rho
 
 
 def test_falling_coefficients_against_ring_arithmetic():
@@ -299,7 +340,7 @@ def _fractions(pair):
 def test_binomial_coefficients_round_trip(poly):
     total = CharPolynomial.zero()
     for rho, c in _fractions(binomial_coefficients(poly)).items():
-        total = total + c * CharPolynomial.from_ints(*frobenius._binomial_basis(rho))
+        total = total + c * CharPolynomial.from_ints(*basis_terms(rho))
     assert total == poly
 
 
@@ -333,7 +374,8 @@ def test_module_steps_match_the_round_trip(socles, top):
     # tops below and above the weight; the g_mu are the f_mu of the sum of
     # the n F_s, in integers, so the way back reduces to the denominator 1
     g = frobenius._strip_coefficients(frozenset(socles.items()))
-    assert _fractions(frobenius_coefficients(poly_of_socles_by_sum(socles))) == g
+    f = _fractions(frobenius_coefficients(poly_of_socles_by_sum(socles)))
+    assert {mu.parts: c for mu, c in f.items()} == g
     steps, den = module_steps_by_round_trip(socles, top)
     assert den == 1
     assert module_steps(socles, top) == steps
