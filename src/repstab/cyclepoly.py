@@ -9,10 +9,12 @@ Monomials are stored as tuples of (variable, exponent) pairs sorted by
 variable index, with no zero exponents.  The coefficients are integers
 over one denominator: num maps each monomial to a nonzero int and the
 coefficient of mono is num[mono] / den.  Every polynomial is in canonical
-form, den > 0 and gcd(den, *num.values()) == 1, so equal polynomials have
-equal (num, den) and the ring operations run in integers.  The weight of
-the zero polynomial is the sentinel NEG_INF, which compares below every
-integer.
+form: den > 0, gcd(den, *num.values()) == 1, and num lists its monomials
+in print order, weight descending, then the variables lexicographically
+(_print_key).  So equal polynomials have equal (num, den) in the same
+order, the ring operations run in integers, and format_poly reads num
+front to back.  The weight of the zero polynomial is the sentinel
+NEG_INF, which compares below every integer.
 
 cycle_poly(ell) is the polynomial E_ell that counts the ell-cycles
 commuting with a permutation, the character of the cycle module (cycle
@@ -23,7 +25,6 @@ them over the parts of a partition.
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 
@@ -57,15 +58,20 @@ class CharPolynomial:
     @classmethod
     def from_ints(cls, num, den=1):
         """The polynomial with coefficient num[mono] / den at each monomial
-        mono, den != 0, in canonical form.  The keys must already be
-        canonical: unlike __init__, nothing is re-sorted or checked."""
+        mono, den != 0, in canonical form: zeros dropped, in lowest terms
+        and in print order, whatever the order of num.  The monomials must
+        already be canonical: unlike __init__, they are not checked."""
         if not den:
             raise ZeroDivisionError("zero denominator")
-        num = {mono: v for mono, v in num.items() if v}
-        g = gcd(den, *num.values()) * (1 if den > 0 else -1)
-        if g != 1:
-            num = {mono: v // g for mono, v in num.items()}
-            den //= g
+        monos = sorted((mono for mono, v in num.items() if v), key=_print_key)
+        g = gcd(den, *map(num.__getitem__, monos)) * (1 if den > 0 else -1)
+        return cls.from_canonical({mono: num[mono] // g for mono in monos}, den // g)
+
+    @classmethod
+    def from_canonical(cls, num, den):
+        """The polynomial num / den, which must already be in canonical form:
+        no zero in num, den > 0, no common factor, num in print order.
+        Unlike from_ints, nothing is copied, filtered, reduced or sorted."""
         p = cls.__new__(cls)
         p.num, p.den = num, den
         return p
@@ -107,7 +113,7 @@ class CharPolynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return CharPolynomial.from_ints({m: -v for m, v in self.num.items()}, self.den)
+        return CharPolynomial.from_canonical({m: -v for m, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -150,7 +156,10 @@ class CharPolynomial:
         return same_type and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.den, frozenset(self.num.items())))
+        # a constant polynomial equals its value, so it hashes as that value
+        if not self.num or (len(self.num) == 1 and () in self.num):
+            return hash(Fraction(self.num.get((), 0), self.den))
+        return hash((self.den, tuple(self.num.items())))
 
     def is_zero(self):
         return not self.num
@@ -158,10 +167,11 @@ class CharPolynomial:
     # -- gradings -------------------------------------------------------
 
     def weighted_degree(self):
-        """Weight deg_w with deg_w(X_i) = i; NEG_INF for the zero polynomial."""
+        """Weight deg_w with deg_w(X_i) = i, that of the first monomial in
+        print order; NEG_INF for the zero polynomial."""
         if not self.num:
             return NEG_INF
-        return max(sum(v * e for v, e in mono) for mono in self.num)
+        return sum(v * e for v, e in next(iter(self.num)))
 
     def variables(self):
         return sorted({v for mono in self.num for v, _ in mono})
@@ -180,10 +190,16 @@ def _coerce(x):
 
 
 def _mono_mul(m1, m2):
-    if not m1:
-        return m2
+    if len(m1) < len(m2):
+        m1, m2 = m2, m1
     if not m2:
         return m1
+    if len(m2) == 1:  # one variable, as in every factor of a cycle_poly product
+        (v, e), = m2
+        for k, (u, f) in enumerate(m1):
+            if u >= v:
+                return m1[:k] + (((v, e + f),) + m1[k + 1 :] if u == v else m2 + m1[k:])
+        return m1 + m2
     acc = dict(m1)
     for v, e in m2:
         acc[v] = acc.get(v, 0) + e
@@ -288,23 +304,30 @@ def cycle_poly_product(nu):
 # -- printing and parsing ---------------------------------------------------
 
 
+def _print_key(mono):
+    """The sort key of print order, (-weight, mono): weight descending, then
+    the variables lexicographically."""
+    w = 0
+    for v, e in mono:
+        w -= v * e
+    return w, mono
+
+
 @lru_cache(maxsize=4096)
 def _monomial(mono):
-    """The sort key of a monomial in format_poly, weight descending then
-    variables lexicographically, and its text.  The key is flat, (-weight,
-    v1, e1, v2, e2, ...): every pair has length 2, so it orders monomials
-    as (-weight, mono) does, and compares plain ints."""
-    text = "*".join(f"X{v}" + (f"^{e}" if e > 1 else "") for v, e in mono)
-    return (-sum(v * e for v, e in mono), *chain.from_iterable(mono)), text
+    """The text of a monomial in format_poly: "" for the constant."""
+    return "*".join(f"X{v}" + (f"^{e}" if e > 1 else "") for v, e in mono)
 
 
 def format_poly(poly):
-    """Deterministic text form: monomials graded by weight (descending),
-    ties broken lexicographically by variable index."""
+    """Deterministic text form: the monomials as num lists them, which is
+    print order (weight descending, ties broken lexicographically by
+    variable index), so nothing is sorted."""
     if not poly.num:
         return "0"
     den, pieces = poly.den, []
-    for (_, body), num in sorted((_monomial(mono), v) for mono, v in poly.num.items()):
+    for mono, num in poly.num.items():
+        body = _monomial(mono)
         g = gcd(num, den)
         mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
         if not body:
@@ -335,17 +358,22 @@ def parse_poly(text):
 
     INT is a run of decimal digits.  Whitespace may separate any two
     tokens, so "X 1" reads as X1, and is otherwise ignored.  Raises
-    ParseError at the offending token.
+    ParseError at the offending token.  The terms are summed in integers
+    over the lcm of their denominators and make one polynomial.
     """
     toks = [(m.lastgroup, m[0], m.start()) for m in _POLY_TOKEN.finditer(text)]
     toks.append(("end", "", len(text)))
     toks.reverse()  # the next token is toks[-1]; "end" is never popped
     if len(toks) == 1:
         raise ParseError("empty polynomial", len(text))
-    poly = _sign(toks, optional=True) * _term(toks)
+    terms = [(_sign(toks, optional=True), *_term(toks))]
     while toks[-1][0] != "end":
-        poly = poly + _sign(toks) * _term(toks)
-    return poly
+        terms.append((_sign(toks), *_term(toks)))
+    den = lcm(*(d for _, _, d, _ in terms))
+    num = {}
+    for sign, n, d, mono in terms:
+        num[mono] = num.get(mono, 0) + sign * n * (den // d)
+    return CharPolynomial.from_ints(num, den)
 
 
 def _take(toks, sym):
@@ -379,27 +407,30 @@ def _sign(toks, optional=False):
 
 
 def _term(toks):
+    """(numerator, denominator, monomial) of the next term, the denominator
+    positive and the monomial canonical."""
     if toks[-1][0] != "int":
-        return _mono(toks)
-    coef = Fraction(_int(toks)[0])
+        return 1, 1, _mono(toks)
+    num, den = _int(toks)[0], 1
     if _take(toks, "/"):
         den, pos, _ = _int(toks)
         if den == 0:
             raise ParseError("zero denominator", pos)
-        coef /= den
     if _take(toks, "*"):
-        return coef * _mono(toks)
-    return CharPolynomial.constant(coef)
+        return num, den, _mono(toks)
+    return num, den, ()
 
 
 def _mono(toks):
-    out = _factor(toks)
+    exps = dict([_factor(toks)])
     while _take(toks, "*"):
-        out = out * _factor(toks)
-    return out
+        idx, exp = _factor(toks)
+        exps[idx] = exps.get(idx, 0) + exp
+    return tuple(sorted(exps.items()))
 
 
 def _factor(toks):
+    """(variable, exponent) of the next factor X<idx>[^<exp>]."""
     x = _take(toks, "X")
     if x is None:
         raise _unexpected(toks, "variable")
@@ -411,4 +442,4 @@ def _factor(toks):
         exp, _, end = _int(toks)
         if exp < 1:
             raise ParseError("exponents must be positive", end)
-    return CharPolynomial({((idx, exp),): 1})
+    return idx, exp

@@ -22,8 +22,8 @@ c_rho = sum_mu g_mu chi_mu(rho), one kernel row per mu read by its parts
 and summed a row at a time, then one integer sum over the B_rho.  That sum
 is dense: every monomial of weight <= the top degree has a fixed slot in
 one list (weight-major, each weight in reverse print order), so one gcd
-reduces the list and one backward read gives the monomials in the order
-format_poly prints them.
+reduces the list and one backward read gives the monomials in print
+order: the polynomial's canonical form, handed over as built.
 
 The way back, from a polynomial P to its multiplicities, runs through
 the same basis.  B_rho taken at degree m is the character induced from
@@ -78,7 +78,9 @@ def _poly_of_socles(pairs):
     the module docstring, in one dense pass: the c_rho of each degree are
     summed row by row, and the B_rho into one list over a common
     denominator, a slot per monomial of weight <= the top degree (its
-    _monomial_positions), read back from the last slot in print order."""
+    _monomial_positions), read back from the last slot in print order.
+    That is already canonical form, reduced, free of zeros and in print
+    order, so the dict is handed over as built (from_canonical)."""
     rows = {}  # degree k -> the c_rho over the classes rho of degree k
     for parts, n in _strip_coefficients(pairs).items():
         k, row = sum(parts), _mnpure.char_row(parts)
@@ -104,7 +106,7 @@ def _poly_of_socles(pairs):
     g = gcd(den, *acc)
     coefs = list(map(floordiv, reversed(acc), repeat(g)))  # in print order
     monos = chain.from_iterable(map(_monomial_positions, range(top, -1, -1)))
-    return CharPolynomial.from_ints(dict(compress(zip(monos, coefs), coefs)), den // g)
+    return CharPolynomial.from_canonical(dict(compress(zip(monos, coefs), coefs)), den // g)
 
 
 @lru_cache(maxsize=1024)
@@ -221,32 +223,38 @@ def binomial_coefficients(poly, top=None):
     numbers of the second kind, and the powers of a monomial share no
     variable, so the monomial goes to the B_rho with m_i(rho) <= e_i.  |rho|
     only grows as the variables are multiplied in, so a rho past top is
-    dropped as soon as it is formed.
+    dropped as soon as it is formed.  No j past top // i is read, so each
+    row is built to that width only, once per call: the rows built are the
+    distinct pairs (e, width) of poly, in whatever order its monomials come.
     """
     if top is None:
         top = poly.weighted_degree()
-    num = {}
+    num, rows = {}, {}
     for mono, coef in poly.num.items():
         terms = {(): (coef, 0)}  # rho: (coefficient, |rho|)
         for i, e in reversed(mono):  # descending variables give descending tuples
-            row = _power_coefficients(e)
+            width = min(e, top // i)
+            row = rows.get((e, width))
+            if row is None:
+                row = rows[e, width] = _power_coefficients(e, width)
             terms = {
                 rho + (i,) * j: (c * row[j], size + i * j)
                 for rho, (c, size) in terms.items()
-                for j in range(1, min(e, (top - size) // i) + 1)  # row[0] = 0
+                for j in range(1, min(width, (top - size) // i) + 1)  # row[0] = 0
             }
         for rho, (c, _) in terms.items():
             num[rho] = num.get(rho, 0) + c
     return {rho: c for rho, c in num.items() if c}, poly.den
 
 
-@lru_cache(maxsize=64)
-def _power_coefficients(e):
-    """(S(e, 0) 0!, ..., S(e, e) e!), with S the Stirling numbers of the
-    second kind: x^e = sum_j S(e, j) j! C(x, j)."""
+def _power_coefficients(e, width):
+    """(S(e, 0) 0!, ..., S(e, width) width!), with S the Stirling numbers of
+    the second kind: x^e = sum_j S(e, j) j! C(x, j).  Each row of S is built
+    up to column width only, which is all the next row reads."""
     row = (1,)
     for _ in range(e):  # S(n + 1, j) = j S(n, j) + S(n, j - 1)
         row = tuple(j * a + b for j, (a, b) in enumerate(zip(row + (0,), (0,) + row)))
+        row = row[: width + 1]
     return tuple(s * factorial(j) for j, s in enumerate(row))
 
 

@@ -447,6 +447,42 @@ def poly_of_socles_by_sum(socles):
     return CharPolynomial(total)
 
 
+# -- print order -----------------------------------------------------------------
+#
+# The library keeps the monomials of every polynomial in print order, its
+# canonical form, so format_poly writes them as they are stored.  This
+# formatter trusts no stored order: it sorts the monomials itself.
+
+
+def print_order(mono):
+    """The sort key of print order: weight descending, then the variables
+    lexicographically."""
+    return -sum(v * e for v, e in mono), mono
+
+
+def format_poly_by_sort(poly):
+    """format_poly(poly), the monomials sorted here by print_order."""
+    if not poly.num:
+        return "0"
+    den, pieces = poly.den, []
+    for mono in sorted(poly.num, key=print_order):
+        num = poly.num[mono]
+        body = "*".join(f"X{v}" + (f"^{e}" if e > 1 else "") for v, e in mono)
+        g = gcd(num, den)
+        mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
+        if not body:
+            text = mag
+        elif mag == "1":
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if not pieces:
+            pieces.append(text if num > 0 else f"-{text}")
+        else:
+            pieces.append(f"+ {text}" if num > 0 else f"- {text}")
+    return " ".join(pieces)
+
+
 # -- a family degree by degree -------------------------------------------------
 #
 # The library composes one step list per family node (fbmodules.family_steps)

@@ -12,13 +12,14 @@ from repstab.cyclepoly import (
     eval_rho,
     eval_rho_all,
     falling_factorial,
-    _monomial,
+    _print_key,
     format_poly,
     parse_poly,
 )
 from repstab.errors import ParseError
 from repstab.partitions import cycle_types_of
 
+from bruteforce import format_poly_by_sort, print_order
 from lemmas import class_indicator, kernel_relations
 
 
@@ -208,6 +209,7 @@ def test_print_parse_roundtrip_random():
     rng = random.Random(2024)
     for _ in range(300):
         p = random_poly(rng, max_var=5, max_terms=5)
+        assert format_poly(p) == format_poly_by_sort(p)
         assert parse_poly(format_poly(p)) == p or (
             p.is_zero() and parse_poly(format_poly(p)).is_zero()
         )
@@ -223,6 +225,7 @@ def test_print_parse_roundtrip_random():
 )
 def test_print_parse_roundtrip_property(terms):
     p = CharPolynomial(terms)
+    assert format_poly(p) == format_poly_by_sort(p)
     assert parse_poly(format_poly(p)) == p
 
 
@@ -242,23 +245,38 @@ _tying = st.sampled_from([1, 2, 5, 10, 11, 20])  # products of these often tie
         max_size=12,
     )
 )
-def test_flat_sort_key_orders_like_weight_then_monomial(monos):
+def test_print_key_orders_like_weight_then_monomial(monos):
     # many monomials share a weight, so the order within one weight matters;
     # variables and exponents past 9 catch a key compared as text
-    def nested(mono):
-        return (-sum(v * e for v, e in mono), mono)
-
-    keys = {mono: _monomial(mono)[0] for mono in monos}
+    keys = {mono: _print_key(mono) for mono in monos}
     assert len(set(keys.values())) == len(monos)
-    assert sorted(monos, key=keys.get) == sorted(monos, key=nested)
+    assert sorted(monos, key=keys.get) == sorted(monos, key=print_order)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(monomials, st.integers(-6, 6), max_size=5), st.integers(1, 12))
 def test_from_ints_matches_fraction_constructor(num, den):
-    p = CharPolynomial.from_ints(num, den)
+    p = _canonical(CharPolynomial.from_ints(num, den))
     assert p == CharPolynomial({mono: Fraction(v, den) for mono, v in num.items()})
     assert set(p.terms) == {mono for mono, v in num.items() if v}
+
+
+def test_parse_poly_builds_one_polynomial(monkeypatch):
+    # summing the terms one polynomial at a time made O(n) polynomials and
+    # took quadratic time in the number n of terms
+    from_ints = CharPolynomial.from_ints.__func__
+    calls = []
+
+    def counted(cls, num, den=1):
+        calls.append(len(num))
+        return from_ints(cls, num, den)
+
+    monkeypatch.setattr(CharPolynomial, "from_ints", classmethod(counted))
+    for p in [X(1) - 1, (X(1) + 2 * X(2) - Fraction(1, 3) * X(3) + 5) ** 6]:
+        text = format_poly(p)
+        calls.clear()
+        assert parse_poly(text) == p
+        assert calls == [len(p.num)], text
 
 
 # -- integers over one denominator, against dicts of Fractions -------------------
@@ -284,11 +302,13 @@ def _dict_lin(a, b, sign):
 
 
 def _canonical(p):
-    """p, after checking that it is in canonical form and reads back from
-    its text."""
+    """p, after checking that it is in canonical form, monomials in print
+    order included, and reads back from its text in the same order."""
     assert p.den > 0 and gcd(p.den, *p.num.values()) == 1
     assert all(type(v) is int and v for v in p.num.values())
-    assert parse_poly(format_poly(p)) == p
+    assert list(p.num) == sorted(p.num, key=print_order)  # print order
+    back = parse_poly(format_poly(p))
+    assert back == p and list(back.num) == list(p.num)
     return p
 
 
@@ -329,3 +349,9 @@ def test_ring_operations_against_fraction_dicts(a, b, c, e):
         assert _canonical(same) == got and hash(same) == hash(got)
     assert ((p + q) - q == p) and hash((p + q) - q) == hash(p)
     assert (p == c) == ({mono: v for mono, v in a.items() if v} == {(): c})
+    # equal objects hash alike, so a constant polynomial finds its number's
+    # dict entry and the zero polynomial finds 0's
+    for poly, number in [(p, c), (p - p, 0), (CharPolynomial.constant(c), c)]:
+        if poly == number:
+            assert hash(poly) == hash(number) and {number: 1}[poly] == 1
+    assert CharPolynomial.constant(c) == c and p - p == 0

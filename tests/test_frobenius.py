@@ -12,6 +12,7 @@ from repstab.characters import IrrDecomposition, inner_product, irr_char, irr_ch
 from repstab.cyclepoly import (
     CharPolynomial,
     X,
+    cycle_poly_product,
     eval_rho,
     eval_rho_all,
     falling_coefficients,
@@ -36,6 +37,7 @@ from bruteforce import (
     mn_beta_set,
     module_steps_by_round_trip,
     poly_of_socles_by_sum,
+    print_order,
     stable_poly_by_drops,
     vertical_strips_by_drops,
 )
@@ -148,12 +150,6 @@ socle_multiplicities = st.dictionaries(
 )
 
 
-def print_key(mono):
-    """format_poly's order: weight descending, then the variables
-    lexicographically."""
-    return -sum(v * e for v, e in mono), mono
-
-
 @settings(max_examples=80, deadline=None)
 @given(socle_multiplicities)
 def test_module_polynomial_matches_the_per_socle_sum(socles):
@@ -161,7 +157,7 @@ def test_module_polynomial_matches_the_per_socle_sum(socles):
     # emits the monomials already in print order
     poly = frobenius_poly_of_socles(socles)
     assert poly == poly_of_socles_by_sum(socles)
-    assert list(poly.num) == sorted(poly.num, key=print_key)
+    assert list(poly.num) == sorted(poly.num, key=print_order)
 
 
 def test_monomial_positions_hold_each_weight_in_print_order():
@@ -175,7 +171,7 @@ def test_monomial_positions_hold_each_weight_in_print_order():
         for mono in table:  # canonical: variables ascending, exponents positive
             variables = [v for v, _ in mono]
             assert variables == sorted(set(variables)) and all(e > 0 for _, e in mono), mono
-        assert list(table) == sorted(table, key=print_key), w
+        assert list(table) == sorted(table, key=print_order), w
         assert list(table.values()) == list(range(end + len(table) - 1, end - 1, -1)), w
         end += len(table)
         assert frobenius._monomial_count(w) == end, w
@@ -351,6 +347,24 @@ def test_binomial_coefficients_up_to_top(poly, top):
     num, den = binomial_coefficients(poly)
     kept = {rho: c for rho, c in num.items() if sum(rho) <= top}
     assert binomial_coefficients(poly, top) == (kept, den)
+
+
+def test_binomial_coefficients_build_each_stirling_row_once(monkeypatch):
+    # one row per distinct (exponent, width read) in a call, whatever the
+    # order of the monomials; a bounded cache of whole rows missed more often
+    # as the order mixed the exponents up
+    build, rows = frobenius._power_coefficients, []
+
+    def counted(e, width):
+        rows.append((e, width))
+        return build(e, width)
+
+    monkeypatch.setattr(frobenius, "_power_coefficients", counted)
+    poly, top = cycle_poly_product((6, 6, 6, 6)), 8
+    binomial_coefficients(poly, top)
+    assert sorted(rows) == sorted({(e, min(e, top // i)) for mono in poly.num for i, e in mono})
+    for e, width in rows:  # the full row, cut at width
+        assert build(e, width) == build(e, e)[: width + 1], (e, width)
 
 
 def test_frobenius_coefficients_of_stable_polynomials():
