@@ -11,7 +11,7 @@ polynomiality.  All arithmetic is exact (integers and rationals).
 import sys
 
 from .characters import ClassFunction, IrrDecomposition, decompose, inner_product, irr_char
-from .cyclepoly import CharPolynomial, X, cycle_poly, eval_rho, eval_rho_all, parse_poly
+from .cyclepoly import CharPolynomial, X, cycle_poly, eval_rho_all, parse_poly
 from .fbmodules import (
     CycleModule,
     DirectSum,
@@ -56,7 +56,6 @@ __all__ = [
     "cycle_poly",
     "cycle_types_of",
     "decompose",
-    "eval_rho",
     "eval_rho_all",
     "frobenius_poly",
     "frobenius_poly_of_module",

@@ -32,12 +32,6 @@ def irr_char(lam, cycles):
     return _mnpure.char_value(lam.parts, cycles)
 
 
-def irr_dimension(lam):
-    """Dimension of the irreducible module indexed by lam: its value on
-    the identity, (1,) * |lam|, the last class of the canonical order."""
-    return _mnpure.char_row(lam.parts)[-1]
-
-
 def irr_row(lam):
     """Values of the irreducible character indexed by lam, as a tuple of
     ints aligned with the canonical class order of degree |lam|."""
@@ -214,9 +208,6 @@ class IrrDecomposition:
 
     def total_multiplicity(self):
         return sum(n for _, n in self._items)
-
-    def dimension(self):
-        return sum(n * irr_dimension(lam) for lam, n in self._items)
 
     def module_weight(self):
         """Largest weight among the factors; 0 for the zero module."""

@@ -18,14 +18,14 @@ NEG_INF, which compares below every integer.
 
 cycle_poly(ell) is the polynomial E_ell that counts the ell-cycles
 commuting with a permutation, the character of the cycle module (cycle
-ell) at every degree, built in integers; cycle_poly_product multiplies
-them over the parts of a partition.
+ell) at every degree, built in integers, and cycle_binomials(ell) the
+same in the binomial basis B_rho; cycle_poly_product multiplies E_ell over nu.
 """
 
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add, mul
 
 from .characters import ClassFunction
@@ -190,16 +190,6 @@ def _coerce(x):
 
 
 def _mono_mul(m1, m2):
-    if len(m1) < len(m2):
-        m1, m2 = m2, m1
-    if not m2:
-        return m1
-    if len(m2) == 1:  # one variable, as in every factor of a cycle_poly product
-        (v, e), = m2
-        for k, (u, f) in enumerate(m1):
-            if u >= v:
-                return m1[:k] + (((v, e + f),) + m1[k + 1 :] if u == v else m2 + m1[k:])
-        return m1 + m2
     acc = dict(m1)
     for v, e in m2:
         acc[v] = acc.get(v, 0) + e
@@ -207,14 +197,6 @@ def _mono_mul(m1, m2):
 
 
 X = CharPolynomial.variable
-
-
-def falling_factorial(p, k):
-    """p (p-1) ... (p-k+1) in the polynomial ring; 1 for k = 0."""
-    out = CharPolynomial.one()
-    for t in range(k):
-        out = out * (p - t)
-    return out
 
 
 @lru_cache(maxsize=64)
@@ -225,17 +207,6 @@ def falling_coefficients(n):
     for t in range(n):  # multiply by (x - t)
         coeffs = tuple(a - t * b for a, b in zip((0,) + coeffs, coeffs + (0,)))
     return coeffs
-
-
-def eval_rho(poly, cycles):
-    """Evaluate at the class with the descending cycle tuple `cycles`:
-    X_i := cycles.count(i), the number of i-cycles."""
-    total = 0
-    for mono, coef in poly.num.items():
-        for v, e in mono:
-            coef *= cycles.count(v) ** e
-        total += coef
-    return Fraction(total, poly.den)
 
 
 def eval_rho_all(poly, m):
@@ -274,27 +245,37 @@ def cycle_poly(ell):
     The sum over the divisors d of ell, e = ell/d, of phi(d) d^e / ell
     times the falling factorial X_d (X_d-1) ... (X_d-e+1), phi being
     Euler's totient; the term of d = ell is phi(ell) X_ell.  Built in
-    integers over the denominator ell, the falling factorial read off the
-    signed Stirling numbers of the first kind.  Weight ell, independent
-    of the group degree.
+    integers over the denominator ell from cycle_binomials, each falling
+    factorial read off the signed Stirling numbers of the first kind.
+    Weight ell, independent of the group degree.
     """
+    num = {}
+    for rho, c in cycle_binomials(ell)[0].items():
+        d, e = rho[0], len(rho)
+        scale = c // factorial(e)
+        for j, s in enumerate(falling_coefficients(e)):
+            if s:
+                num[((d, j),)] = scale * s
+    return CharPolynomial.from_ints(num, ell)
+
+
+def cycle_binomials(ell):
+    """cycle_poly(ell) as a B_rho form ({rho: c}, ell) (frobenius): one
+    rho = (d,) * e per divisor d of ell, e = ell/d, with c = phi(d) d^e e!,
+    as the falling factorial of X_d of length e is e! C(X_d, e)."""
     if ell < 1:
         raise ValueError("cycle length must be positive")
     num = {}
     for d in range(1, ell + 1):
         if ell % d == 0:
             e = ell // d
-            scale = _totient(d) * d**e
-            for j, s in enumerate(falling_coefficients(e)):
-                if s:
-                    num[((d, j),)] = scale * s
-    return CharPolynomial.from_ints(num, ell)
+            num[(d,) * e] = _totient(d) * d**e * factorial(e)
+    return num, ell
 
 
-@lru_cache(maxsize=1024)
 def cycle_poly_product(nu):
     """Product of cycle_poly over the parts of nu: the character polynomial
-    of the corresponding tensor product of cycle modules."""
+    of the corresponding tensor product of cycle modules (class route)."""
     out = CharPolynomial.one()
     for part in nu:
         out = out * cycle_poly(part)

@@ -11,10 +11,10 @@ multiplicity of s[m] changes at start, in the layout of
 pieri.horizontal_strip_steps, one bounded cache for every node.  Each
 constructor maps its children's lists to its own.  An induced family
 takes the Pieri entries of its base's pairs, cached on them; a cycle
-module the entries of its cycle-count polynomial (frobenius.socle_steps,
-which reads classes of degree at most the polynomial's weight), in
+module the entries of its cycle-count polynomial up to top
+(frobenius.socle_steps, which reads classes of degree at most top), in
 integers; a tensor product, between consecutive breakpoints of its
-factors, those of the product of their module polynomials.  A
+factors, those of the product of their polynomials, all in the basis B_rho.  A
 single-irreducible family is one entry, a direct sum merges lists, a
 degree truncation moves every start up to its cutoff and a weight
 truncation keeps the s by |s|, the weight of s[m].  No class of a listed
@@ -38,9 +38,9 @@ from functools import lru_cache
 from itertools import repeat
 
 from .characters import ClassFunction, IrrDecomposition
-from .cyclepoly import cycle_poly_product, eval_rho_all
+from .cyclepoly import cycle_binomials, cycle_poly_product, eval_rho_all
 from .errors import ParseError
-from .frobenius import frobenius_poly_of_socles, socle_steps
+from .frobenius import binomial_form_of_socles, binomial_product, socle_steps
 from .partitions import Partition, format_partition, parse_partition
 from .pieri import horizontal_strip_steps, prefix_sums, sum_steps
 
@@ -242,7 +242,7 @@ def family_steps(spec, top):
             # entry starts at or above such an |rho|: zero on [0, top]
             entries = ()
         case CycleModule(nu=nu):
-            entries = _integer_steps([(cycle_poly_product(nu), 0, top)])
+            entries = _integer_steps([(_cycle_form(nu, top), 0, top)])
         case Tensor(left=left, right=right):
             entries = _tensor_steps(left, right, top)
         case DirectSum(children=children):
@@ -274,24 +274,32 @@ def _tensor_steps(left, right, top):
     moving = [st for f, st in factors if not isinstance(f, CycleModule)]
     breaks = sorted({0}.union(*({b for _, b, _ in st} for st in moving)))
 
-    def polys(f, steps):
-        if isinstance(f, CycleModule):
-            return repeat(cycle_poly_product(f.nu))
-        return map(frobenius_poly_of_socles, prefix_sums(steps, breaks))
+    forms = [
+        repeat(_cycle_form(f.nu, top)) if isinstance(f, CycleModule)
+        else map(binomial_form_of_socles, prefix_sums(st, breaks))
+        for f, st in factors
+    ]
+    pieces = zip(*forms, breaks, breaks[1:] + [top + 1])
+    return _integer_steps((binomial_product(p, q, c - 1), b, c - 1) for p, q, b, c in pieces)
 
-    pieces = zip(*(polys(f, st) for f, st in factors), breaks, breaks[1:] + [top + 1])
-    return _integer_steps((p * q, b, c - 1) for p, q, b, c in pieces)
+
+def _cycle_form(nu, top):
+    """The B_rho form of the cycle module's polynomial up to top."""
+    form = {(): 1}, 1
+    for part in nu:
+        form = binomial_product(form, cycle_binomials(part), top)
+    return form
 
 
 def _integer_steps(pieces):
     """The entries that lead from zero through the multiplicities of each
-    piece (poly, lo, hi) in turn, poly a polynomial that evaluates to a
+    piece (form, lo, hi) in turn, the B_rho form of a polynomial that is a
     character on [lo, hi]: a jump at lo to its multiplicities, then its
     own changes up to hi, read in integers off its step list.  ValueError
     at the first degree where a multiplicity is negative or no integer."""
     prev = {}
-    for poly, lo, hi in pieces:
-        steps, den = socle_steps(poly, min(hi, poly.weighted_degree()))
+    for form, lo, hi in pieces:
+        steps, den = socle_steps(form, hi)
         degrees = [lo] + sorted({b for _, b, _ in steps if lo < b <= hi})
         for m, sums in zip(degrees, prefix_sums(steps, degrees)):
             yield from ((s, m, -n) for s, n in prev.items())
@@ -311,7 +319,7 @@ def _integer_steps(pieces):
 def _character(spec, m):
     match spec:
         case CycleModule(nu=nu):
-            return cycle_module_char(nu, m)
+            return eval_rho_all(cycle_poly_product(nu), m)
         case Tensor(left=left, right=right):
             return _character(left, m) * _character(right, m)
         case DirectSum(children=children):
@@ -323,13 +331,6 @@ def _character(spec, m):
             return terms_at(spec, m).character()
 
 
-def cycle_module_char(nu, m):
-    """Character at degree m of the cycle module indexed by nu (nonempty)."""
-    if not nu:
-        raise ValueError("cycle module needs a nonempty partition")
-    return eval_rho_all(cycle_poly_product(nu), m)
-
-
 # -- the expression language ---------------------------------------------------
 
 # head -> (class, name of its integer argument, what that integer is)
@@ -338,6 +339,10 @@ _TRUNCATIONS = {
     "wtrunc<=": (WeightTruncateLE, "p", "a bound"),
     "wtrunc>": (WeightTruncateGT, "p", "a bound"),
 }
+
+# the deepest node parse_spec takes, the outermost at depth 1: a scan recurses a
+# few frames per level and overflowed Python's default stack near depth 250
+MAX_SPEC_DEPTH = 100
 
 _SPEC_TOKEN = re.compile(
     r'(?P<open>\()|(?P<close>\))|"(?P<str>[^"]*)"|(?P<quote>")|(?P<atom>[^\s()"]+)'
@@ -375,7 +380,8 @@ def parse_spec(text):
     """Parse the s-expression family language, e.g.
     (tensor (vfam 1) (vfam 1)), (cycle 2 1), (proj 3 "2,1"),
     (trunc>= 5 (cycle 2)), (wtrunc<= 1 (proj 2 "1,1")), (sum ...).
-    Cached on the text: a family is an immutable value."""
+    Nodes nest at most MAX_SPEC_DEPTH deep.  Cached on the text: a family
+    is an immutable value."""
     toks = []
     for m in _SPEC_TOKEN.finditer(text):
         if m.lastgroup == "quote":
@@ -384,26 +390,28 @@ def parse_spec(text):
     if not toks:
         raise ParseError("unexpected end of input", len(text))
     toks.reverse()  # the next token is toks[-1]
-    spec = _node(toks)
+    spec = _node(toks, 1)
     if toks:
         raise ParseError("trailing input after expression", toks[-1][2])
     return spec
 
 
-def _node(toks):
-    """Pop one parenthesised node and build its family.
+def _node(toks, depth):
+    """Pop one parenthesised node, at depth depth, and build its family.
 
     Arguments are read, and sub-nodes built, before the head is checked.
     """
     kind, _, pos = toks.pop()
     if kind != "open":
         raise ParseError("expected '(' to open an expression", pos)
+    if depth > MAX_SPEC_DEPTH:
+        raise ParseError(f"nodes nest deeper than {MAX_SPEC_DEPTH}", pos)
     if not toks or toks[-1][0] != "atom":
         raise ParseError("expected a constructor name", pos)
     head = toks.pop()[1]
     args = []
     while toks and toks[-1][0] != "close":
-        args.append(_node(toks) if toks[-1][0] == "open" else toks.pop())
+        args.append(_node(toks, depth + 1) if toks[-1][0] == "open" else toks.pop())
     if not toks:
         raise ParseError("missing ')'", pos)
     toks.pop()

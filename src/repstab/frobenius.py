@@ -44,16 +44,21 @@ class of degree m.  Its entries (s, |s| + mu_1, f_mu) come from
 pieri.horizontal_strip_steps, which lists the steps of an induced family
 the same way.  For a module polynomial sum_s n_s F_s the f_mu are its
 g_mu (orthogonality of the kernel rows), integers already summed on the
-way out, so module_steps lists them directly; socle_steps takes any
-other polynomial through the basis B_rho and the kernel rows.  Both key
-the one cache of horizontal_strip_steps by the numerators of the f_mu in
-lowest terms, in one order, so a cycle module's polynomial, the same one
-rebuilt from its socles and an induced base holding its g_mu share a list.
+way out, so module_steps lists them directly.  socle_steps reads any
+other polynomial as a B_rho form (num, den), c_rho = num[rho] / den over
+descending cycle tuples rho, den > 0, as a scan builds them: the rows of
+binomial_form_of_socles, cyclepoly.cycle_binomials and binomial_product,
+by C(x, a) C(x, b) = sum over j <= min(a, b) of (a+b-j)! / (j! (a-j)!
+(b-j)!) C(x, a+b-j) per variable, never through monomials.  Both routes
+key the one cache of horizontal_strip_steps by the numerators of the f_mu
+in lowest terms, in one order, so a cycle module's polynomial, the same
+one rebuilt from its socles and an induced base holding its g_mu share a
+list.
 """
 
 from functools import lru_cache
 from itertools import chain, compress, groupby, repeat
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from operator import add, floordiv, mul, sub
 
 from . import _mnpure
@@ -75,20 +80,13 @@ def frobenius_poly_stable(soc):
 @lru_cache(maxsize=1024)
 def _poly_of_socles(pairs):
     """The sum of n F_s over the frozenset of pairs (s, n), by the route of
-    the module docstring, in one dense pass: the c_rho of each degree are
-    summed row by row, and the B_rho into one list over a common
-    denominator, a slot per monomial of weight <= the top degree (its
-    _monomial_positions), read back from the last slot in print order.
-    That is already canonical form, reduced, free of zeros and in print
-    order, so the dict is handed over as built (from_canonical)."""
-    rows = {}  # degree k -> the c_rho over the classes rho of degree k
-    for parts, n in _strip_coefficients(pairs).items():
-        k, row = sum(parts), _mnpure.char_row(parts)
-        if n == 1 or n == -1:
-            op = add if n == 1 else sub
-        else:
-            op, row = add, map(mul, row, repeat(n))
-        rows[k] = list(map(op, rows.get(k, repeat(0)), row))
+    the module docstring, in one dense pass over its _binomial_rows: the
+    B_rho are summed into one list over a common denominator, a slot per
+    monomial of weight <= the top degree (its _monomial_positions), read
+    back from the last slot in print order.  That is already canonical
+    form, reduced, free of zeros and in print order, so the dict is handed
+    over as built (from_canonical)."""
+    rows = _binomial_rows(pairs)
     top = max(rows, default=0)
     den = factorial(top)  # every prod_i m_i(rho)! divides it
     acc = [0] * _monomial_count(top)
@@ -107,6 +105,22 @@ def _poly_of_socles(pairs):
     coefs = list(map(floordiv, reversed(acc), repeat(g)))  # in print order
     monos = chain.from_iterable(map(_monomial_positions, range(top, -1, -1)))
     return CharPolynomial.from_canonical(dict(compress(zip(monos, coefs), coefs)), den // g)
+
+
+@lru_cache(maxsize=1024)
+def _binomial_rows(pairs):
+    """{k: [c_rho over classes(k).cycles]}, the sum of n F_s over the
+    frozenset of pairs (s, n) in the basis B_rho: c_rho = sum_mu g_mu
+    chi_mu(rho), one kernel row per mu, summed a row at a time."""
+    rows = {}
+    for parts, n in _strip_coefficients(pairs).items():
+        k, row = sum(parts), _mnpure.char_row(parts)
+        if n == 1 or n == -1:
+            op = add if n == 1 else sub
+        else:
+            op, row = add, map(mul, row, repeat(n))
+        rows[k] = list(map(op, rows.get(k, repeat(0)), row))
+    return rows
 
 
 @lru_cache(maxsize=1024)
@@ -214,62 +228,69 @@ def frobenius_poly_of_socles(socles):
     return _poly_of_socles(frozenset(socles.items()))
 
 
-def binomial_coefficients(poly, top=None):
-    """poly in the basis B_rho: (num, den) with poly = sum_rho num[rho] / den
-    B_rho over descending cycle tuples rho, den > 0, zero entries dropped;
-    only the rho with |rho| <= top when top is given.
-
-    Each power is X_i^e = sum_j S(e, j) j! C(X_i, j), with S the Stirling
-    numbers of the second kind, and the powers of a monomial share no
-    variable, so the monomial goes to the B_rho with m_i(rho) <= e_i.  |rho|
-    only grows as the variables are multiplied in, so a rho past top is
-    dropped as soon as it is formed.  No j past top // i is read, so each
-    row is built to that width only, once per call: the rows built are the
-    distinct pairs (e, width) of poly, in whatever order its monomials come.
-    """
-    if top is None:
-        top = poly.weighted_degree()
-    num, rows = {}, {}
-    for mono, coef in poly.num.items():
-        terms = {(): (coef, 0)}  # rho: (coefficient, |rho|)
-        for i, e in reversed(mono):  # descending variables give descending tuples
-            width = min(e, top // i)
-            row = rows.get((e, width))
-            if row is None:
-                row = rows[e, width] = _power_coefficients(e, width)
-            terms = {
-                rho + (i,) * j: (c * row[j], size + i * j)
-                for rho, (c, size) in terms.items()
-                for j in range(1, min(width, (top - size) // i) + 1)  # row[0] = 0
-            }
-        for rho, (c, _) in terms.items():
-            num[rho] = num.get(rho, 0) + c
-    return {rho: c for rho, c in num.items() if c}, poly.den
+def binomial_form_of_socles(socles):
+    """frobenius_poly_of_socles(socles) as a B_rho form ({rho: c_rho}, 1),
+    read off the _binomial_rows that build it, zero entries dropped."""
+    num = {}
+    for k, row in _binomial_rows(frozenset(socles.items())).items():
+        num.update(compress(zip(classes(k).cycles, row), row))
+    return num, 1
 
 
-def _power_coefficients(e, width):
-    """(S(e, 0) 0!, ..., S(e, width) width!), with S the Stirling numbers of
-    the second kind: x^e = sum_j S(e, j) j! C(x, j).  Each row of S is built
-    up to column width only, which is all the next row reads."""
-    row = (1,)
-    for _ in range(e):  # S(n + 1, j) = j S(n, j) + S(n, j - 1)
-        row = tuple(j * a + b for j, (a, b) in enumerate(zip(row + (0,), (0,) + row)))
-        row = row[: width + 1]
-    return tuple(s * factorial(j) for j, s in enumerate(row))
+def binomial_product(f, g, top):
+    """The product of the B_rho forms f and g up to top >= 0: (num, den)
+    over the rho with |rho| <= top, den the product of theirs, zero entries
+    dropped.  Both are split on their largest variable X_i, f = sum_a
+    C(X_i, a) f_a and g alike (module docstring).  Each f_a g_b, in the
+    variables below X_i, is formed once, by the same split, within the
+    budget top - i max(a, b) that the smallest C(X_i, a+b-j) leaves: no
+    |rho| ever shrinks, so a term past top is never formed."""
+    (f, f_den), (g, g_den) = f, g
+    i = max((rho[0] for rho in chain(f, g) if rho), default=0)
+    if not i:
+        c = f.get((), 0) * g.get((), 0)
+        return {(): c} if c else {}, f_den * g_den
+    out, g_parts = {}, _split(g, i)
+    for a, f_a in _split(f, i).items():
+        for b, g_b in g_parts.items():
+            low = max(a, b)
+            if top < i * low:
+                continue
+            sub, _ = binomial_product((f_a, 1), (g_b, 1), top - i * low)
+            for n in range(low, a + b + 1):  # n = a + b - j
+                room = top - i * n
+                if room < 0:
+                    break
+                k = comb(n, a) * comb(a, a + b - n)
+                head = (i,) * n
+                for sigma, c in sub.items():
+                    if n == low or sum(sigma) <= room:
+                        rho = head + sigma
+                        out[rho] = out.get(rho, 0) + k * c
+    return {rho: c for rho, c in out.items() if c}, f_den * g_den
 
 
-def frobenius_coefficients(poly, top=None):
-    """The f_mu of poly: (num, den) with f_mu = num[mu] / den for every
-    partition mu with |mu| <= top (default: all of them, up to the weight
-    of poly), den > 0, zero entries dropped, num ordered by |mu|, each
-    degree as partitions_of lists it: the order module_steps gives its g_mu.
+def _split(f, i):
+    """{a: f_a} with f = sum_a C(X_i, a) f_a, no variable of f past X_i."""
+    parts = {}
+    for rho, c in f.items():
+        a = rho.count(i)
+        parts.setdefault(a, {})[rho[a:]] = c
+    return parts
 
-    Only kernel rows of degree <= top, and <= weight(poly), are read.
-    """
-    coeffs, den = binomial_coefficients(poly, top)
+
+def frobenius_coefficients(form, top):
+    """The f_mu of the polynomial of the B_rho form (num, den): (num, den)
+    with f_mu = num[mu] / den for every partition mu with |mu| <= top,
+    den > 0, zero entries dropped, num ordered by |mu|, each degree as
+    partitions_of lists it: the order module_steps gives its g_mu.  Only
+    kernel rows of degree <= top, and <= the largest |rho|, are read."""
+    coeffs, den = form
     by_degree = {}
     for rho, c in coeffs.items():
-        by_degree.setdefault(sum(rho), []).append((rho, c))
+        k = sum(rho)
+        if k <= top:
+            by_degree.setdefault(k, []).append((rho, c))
     scale = factorial(max(by_degree, default=0))  # every z_rho divides it
     num = {}
     for k, pairs in sorted(by_degree.items()):
@@ -283,15 +304,13 @@ def frobenius_coefficients(poly, top=None):
     return num, den * scale
 
 
-@lru_cache(maxsize=1024)
-def socle_steps(poly, top):
+def socle_steps(form, top):
     """The entries (s, |s| + mu_1, num[mu]) over the mu with |mu| <= top
     and the s with mu/s a horizontal strip, sorted by their start
-    |s| + mu_1, and den: the multiplicity of s[m] in poly at m is the sum
-    of num[mu] / den over the entries for s that start at or below m.
-    num[mu] / den is f_mu in lowest terms.
-    """
-    num, den = frobenius_coefficients(poly, top)
+    |s| + mu_1, and den: the multiplicity of s[m] at m in the polynomial of
+    the B_rho form is the sum of num[mu] / den over the entries for s that
+    start at or below m.  num[mu] / den is f_mu in lowest terms."""
+    num, den = frobenius_coefficients(form, top)
     common = gcd(den, *num.values())
     pairs = tuple((mu, f // common) for mu, f in num.items())
     return horizontal_strip_steps(pairs), den // common

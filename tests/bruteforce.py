@@ -16,7 +16,7 @@ from itertools import permutations, product
 from math import factorial, gcd
 
 from repstab.characters import ClassFunction, decompose, irr_character, irr_row
-from repstab.cyclepoly import CharPolynomial, X, cycle_poly_product, falling_factorial
+from repstab.cyclepoly import CharPolynomial, X, cycle_poly_product
 from repstab.errors import BudgetError
 from repstab.fbmodules import (
     CycleModule,
@@ -397,6 +397,84 @@ def _class_sizes(m):
     return class_sizes_by_enumeration(m)
 
 
+# -- polynomials in the monomial basis ---------------------------------------------
+#
+# The library multiplies and reads a scan's polynomials in the binomial basis
+# B_rho = prod_i C(X_i, m_i(rho)) (frobenius.binomial_product, socle_steps).
+# These stay with monomials: falling factorials multiplied out in the ring,
+# evaluation one monomial at a time, and the conversion of monomials to B_rho
+# by the Stirling numbers of the second kind.
+
+
+def falling_factorial(p, k):
+    """p (p-1) ... (p-k+1) in the polynomial ring; 1 for k = 0."""
+    out = CharPolynomial.one()
+    for t in range(k):
+        out = out * (p - t)
+    return out
+
+
+def eval_rho(poly, cycles):
+    """poly at the class with the descending cycle tuple cycles, a Fraction:
+    X_i := cycles.count(i), the number of i-cycles."""
+    total = 0
+    for mono, coef in poly.num.items():
+        for v, e in mono:
+            coef *= cycles.count(v) ** e
+        total += coef
+    return Fraction(total, poly.den)
+
+
+def binomial_coefficients(poly, top=None):
+    """poly as a B_rho form: (num, den) with poly = sum_rho num[rho] / den
+    B_rho over descending cycle tuples rho, den > 0, zero entries dropped;
+    only the rho with |rho| <= top when top is given.
+
+    Each power is X_i^e = sum_j S(e, j) j! C(X_i, j), and the powers of a
+    monomial share no variable, so the monomial goes to the B_rho with
+    m_i(rho) <= e_i.  |rho| only grows as the variables are multiplied in,
+    so a rho past top is dropped as soon as it is formed.  No j past
+    top // i is read, so each row is built to that width only, once per
+    call: the rows built are the distinct pairs (e, width) of poly.
+    """
+    if top is None:
+        top = poly.weighted_degree()
+    num, rows = {}, {}
+    for mono, coef in poly.num.items():
+        terms = {(): (coef, 0)}  # rho: (coefficient, |rho|)
+        for i, e in reversed(mono):  # descending variables give descending tuples
+            width = min(e, top // i)
+            row = rows.get((e, width))
+            if row is None:
+                row = rows[e, width] = power_coefficients(e, width)
+            terms = {
+                rho + (i,) * j: (c * row[j], size + i * j)
+                for rho, (c, size) in terms.items()
+                for j in range(1, min(width, (top - size) // i) + 1)  # row[0] = 0
+            }
+        for rho, (c, _) in terms.items():
+            num[rho] = num.get(rho, 0) + c
+    return {rho: c for rho, c in num.items() if c}, poly.den
+
+
+def power_coefficients(e, width):
+    """(S(e, 0) 0!, ..., S(e, width) width!), with S the Stirling numbers of
+    the second kind: x^e = sum_j S(e, j) j! C(x, j).  Each row of S is built
+    up to column width only, which is all the next row reads."""
+    row = (1,)
+    for _ in range(e):  # S(n + 1, j) = j S(n, j) + S(n, j - 1)
+        row = tuple(j * a + b for j, (a, b) in enumerate(zip(row + (0,), (0,) + row)))
+        row = row[: width + 1]
+    return tuple(s * factorial(j) for j, s in enumerate(row))
+
+
+def lowest_terms(form):
+    """The B_rho form (num, den) reduced: no common factor of den and num."""
+    num, den = form
+    g = gcd(den, *num.values())
+    return {rho: c // g for rho, c in num.items()}, den // g
+
+
 # -- character polynomials socle by socle ----------------------------------------
 #
 # The library sums the vertical strips of every socle into one g_mu per mu
@@ -499,7 +577,8 @@ def decompose_poly(poly, m):
     The multiplicities are Fractions: integers >= 0 when poly takes a
     character at m, any rationals otherwise.
     """
-    steps, den = socle_steps(poly, min(m, poly.weighted_degree()))
+    top = min(m, poly.weighted_degree())
+    steps, den = socle_steps(binomial_coefficients(poly, top), top)
     return {s: Fraction(n, den) for s, n in sum_steps(steps, m).items()}
 
 
@@ -508,7 +587,8 @@ def module_steps_by_round_trip(socles, top):
     back from the module polynomial: expanded in the binomial basis, read
     through the kernel rows into its f_mu, then listed strip by strip."""
     poly = frobenius_poly_of_socles(socles)
-    return socle_steps(poly, min(top, poly.weighted_degree()))
+    top = min(top, poly.weighted_degree())
+    return socle_steps(binomial_coefficients(poly, top), top)
 
 
 @lru_cache(maxsize=4096)

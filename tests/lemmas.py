@@ -15,13 +15,13 @@ from collections import Counter
 from fractions import Fraction
 
 from repstab.characters import inner_product, irr_character
-from repstab.cyclepoly import CharPolynomial, X, eval_rho, eval_rho_all, falling_factorial
+from repstab.cyclepoly import CharPolynomial, X, eval_rho_all
 from repstab.fbmodules import DirectSum, VFamily, terms_at
 from repstab.frobenius import frobenius_poly_of_module
 from repstab.partitions import Partition, cycle_types_of, partitions_of
 from repstab.stability import rank_pc_estimate
 
-from bruteforce import divisor_terms, totient
+from bruteforce import divisor_terms, eval_rho, falling_factorial, totient
 
 
 # -- polynomials ---------------------------------------------------------------

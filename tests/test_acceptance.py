@@ -17,7 +17,7 @@ from repstab.characters import (
     irr_char,
     irr_character,
 )
-from repstab.cyclepoly import X, cycle_poly, eval_rho, eval_rho_all, format_poly, parse_poly
+from repstab.cyclepoly import X, cycle_poly, eval_rho_all, format_poly, parse_poly
 from repstab.fbmodules import CycleModule, Projective, Tensor, VFamily
 from repstab.frobenius import frobenius_poly, frobenius_poly_stable
 from repstab.partitions import Partition, class_size, cycle_types_of, partitions_of
@@ -30,7 +30,7 @@ from repstab.stability import (
     verify_equivalence,
 )
 
-from bruteforce import commuting_cycle_count, induce_bruteforce, representative
+from bruteforce import commuting_cycle_count, eval_rho, induce_bruteforce, representative
 from lemmas import (
     express_X_in_E,
     low_weight_class_function_count,

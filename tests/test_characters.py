@@ -16,7 +16,6 @@ from repstab.characters import (
     inner_product,
     irr_char,
     irr_character,
-    irr_dimension,
 )
 from repstab.errors import BudgetError
 from repstab.fbmodules import character_at, parse_spec
@@ -104,7 +103,7 @@ def test_inner_product_normalization():
 
 def test_sum_of_squares_of_dimensions():
     for m in range(9):
-        total = sum(irr_dimension(lam) ** 2 for lam in partitions_of(m))
+        total = sum(irr_char(lam, (1,) * m) ** 2 for lam in partitions_of(m))
         assert total == factorial(m)
 
 
@@ -112,7 +111,7 @@ def test_dimensions_match_hook_length_formula():
     # third independent route to the identity-class values
     for m in range(11):
         for lam in partitions_of(m):
-            assert irr_dimension(lam) == hook_length_dimension(lam.parts), lam
+            assert irr_char(lam, (1,) * m) == hook_length_dimension(lam.parts), lam
 
 
 def test_regular_character_decomposition():
@@ -122,7 +121,7 @@ def test_regular_character_decomposition():
     vals[(1,) * m] = factorial(m)
     reg = decompose(ClassFunction(m, vals))
     for lam in partitions_of(m):
-        assert reg.multiplicity(lam) == irr_dimension(lam)
+        assert reg.multiplicity(lam) == irr_char(lam, (1,) * m)
 
 
 def test_decompose_permutation_module():

@@ -11,13 +11,13 @@ from repstab.cyclepoly import (
     CharPolynomial,
     X,
     cycle_poly,
-    eval_rho,
     eval_rho_all,
-    falling_factorial,
 )
 from repstab.partitions import cycle_types_of, format_cycle_type
 
 from bruteforce import (
+    eval_rho,
+    falling_factorial,
     ref_add,
     ref_class_function,
     ref_inner_product,

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from repstab.cli import _json, run
 from repstab.cyclepoly import CharPolynomial, format_poly, parse_poly
+from repstab.errors import ParseError
 from repstab.fbmodules import (
+    MAX_SPEC_DEPTH,
     CycleModule,
     DirectSum,
     Projective,
@@ -347,6 +349,31 @@ def test_a_heavy_cycle_scans_only_its_window(spec):
     out = _run_python("-m", "repstab", "rankscan", "--spec", spec, "--mmax", "14", timeout=10)
     assert out.returncode == 0, out.stderr
     assert "rank_rs: 14\nrank_pc: not polynomial\n" in out.stdout
+
+
+def nested(head, depth):
+    """A spec whose nodes nest depth deep: head wraps (vfam 1) depth - 1 times."""
+    wrap = {"sum": "(sum {})", "tensor": "(tensor {} (vfam 1))", "trunc>=": "(trunc>= 2 {})"}
+    spec = "(vfam 1)"
+    for _ in range(depth - 1):
+        spec = wrap[head].format(spec)
+    return spec
+
+
+@pytest.mark.parametrize("head", ["sum", "tensor", "trunc>="])
+def test_nesting_past_the_limit_is_a_parse_error(head):
+    # a scan recurses a few frames per level of the tree: about 250 levels
+    # of tensor or 330 of sum overflowed the stack inside family_steps
+    scan = ("-m", "repstab", "rankscan", "--mmax", "14", "--spec")
+    out = _run_python(*scan, nested(head, MAX_SPEC_DEPTH), timeout=20)
+    assert out.returncode == 0, out.stderr
+    deep = nested(head, MAX_SPEC_DEPTH + 1)
+    out = _run_python(*scan, deep, timeout=20)
+    assert out.returncode == 1
+    assert "parse error" in out.stderr and "Traceback" not in out.stderr, out.stderr
+    with pytest.raises(ParseError) as info:
+        parse_spec(deep)
+    assert info.value.pos == deep.index("(vfam 1)")  # the first node too deep
 
 
 def test_cli_start_up_imports_neither_argparse_nor_dataclasses():

@@ -9,9 +9,7 @@ from repstab.cyclepoly import (
     NEG_INF,
     CharPolynomial,
     X,
-    eval_rho,
     eval_rho_all,
-    falling_factorial,
     _print_key,
     format_poly,
     parse_poly,
@@ -19,7 +17,7 @@ from repstab.cyclepoly import (
 from repstab.errors import ParseError
 from repstab.partitions import cycle_types_of
 
-from bruteforce import format_poly_by_sort, print_order
+from bruteforce import eval_rho, falling_factorial, format_poly_by_sort, print_order
 from lemmas import class_indicator, kernel_relations
 
 

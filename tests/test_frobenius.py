@@ -7,21 +7,20 @@ from math import factorial
 from hypothesis import given, settings, strategies as st
 
 import repstab
-from repstab import frobenius
+from repstab import cyclepoly, fbmodules, frobenius
 from repstab.characters import IrrDecomposition, inner_product, irr_char, irr_character
 from repstab.cyclepoly import (
     CharPolynomial,
     X,
     cycle_poly_product,
-    eval_rho,
     eval_rho_all,
     falling_coefficients,
-    falling_factorial,
     format_poly,
 )
-from repstab.fbmodules import parse_spec
+from repstab.fbmodules import _cycle_form, parse_spec
 from repstab.frobenius import (
-    binomial_coefficients,
+    binomial_form_of_socles,
+    binomial_product,
     frobenius_coefficients,
     frobenius_poly,
     frobenius_poly_of_module,
@@ -32,8 +31,13 @@ from repstab.frobenius import (
 from repstab.partitions import Partition, classes, cycle_types_of, partitions_of
 from repstab.stability import verify_equivalence
 
+import bruteforce
 from bruteforce import (
+    binomial_coefficients,
     decompose_poly,
+    eval_rho,
+    falling_factorial,
+    lowest_terms,
     mn_beta_set,
     module_steps_by_round_trip,
     poly_of_socles_by_sum,
@@ -353,18 +357,69 @@ def test_binomial_coefficients_build_each_stirling_row_once(monkeypatch):
     # one row per distinct (exponent, width read) in a call, whatever the
     # order of the monomials; a bounded cache of whole rows missed more often
     # as the order mixed the exponents up
-    build, rows = frobenius._power_coefficients, []
+    build, rows = bruteforce.power_coefficients, []
 
     def counted(e, width):
         rows.append((e, width))
         return build(e, width)
 
-    monkeypatch.setattr(frobenius, "_power_coefficients", counted)
+    monkeypatch.setattr(bruteforce, "power_coefficients", counted)
     poly, top = cycle_poly_product((6, 6, 6, 6)), 8
     binomial_coefficients(poly, top)
     assert sorted(rows) == sorted({(e, min(e, top // i)) for mono in poly.num for i, e in mono})
     for e, width in rows:  # the full row, cut at width
         assert build(e, width) == build(e, e)[: width + 1], (e, width)
+
+
+cycle_partitions = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycle_partitions)
+def test_cycle_forms_match_the_monomial_product(nu):
+    # multiplied in the binomial basis and cut at top, against the monomial
+    # product converted by the Stirling numbers of the second kind
+    poly = cycle_poly_product(nu)
+    for top in range(sum(nu) + 2):
+        expected = lowest_terms(binomial_coefficients(poly, top))
+        assert lowest_terms(_cycle_form(nu, top)) == expected, top
+
+
+@settings(max_examples=60, deadline=None)
+@given(socle_multiplicities, socle_multiplicities)
+def test_binomial_product_matches_the_monomial_product(left, right):
+    p, q = frobenius_poly_of_socles(left), frobenius_poly_of_socles(right)
+    f, g = binomial_form_of_socles(left), binomial_form_of_socles(right)
+    assert lowest_terms(f) == lowest_terms(binomial_coefficients(p))
+    weight = max(p.weighted_degree(), 0) + max(q.weighted_degree(), 0)
+    for top in range(weight + 2):
+        expected = lowest_terms(binomial_coefficients(p * q, top))
+        assert lowest_terms(binomial_product(f, g, top)) == expected, top
+
+
+def test_a_long_cycle_scan_multiplies_no_monomials(monkeypatch):
+    # the weight-80 cycle module at 14 stays in the binomial basis: it took
+    # 1.3 s to multiply its monomials out and convert them back
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(CharPolynomial, "__mul__", counted("mul", CharPolynomial.__mul__))
+    monkeypatch.setattr(CharPolynomial, "__rmul__", counted("rmul", CharPolynomial.__rmul__))
+    for module in (cyclepoly, fbmodules):
+        product = counted("cycle_poly_product", module.cycle_poly_product)
+        monkeypatch.setattr(module, "cycle_poly_product", product)
+    repstab.clear_caches()
+    report = verify_equivalence(parse_spec("(cycle 8 8 8 8 8 8 8 8 8 8)"), 14)
+    assert (report.rank_rs, report.rank_pc) == (14, None)
+    assert calls == []
 
 
 def test_frobenius_coefficients_of_stable_polynomials():
@@ -378,7 +433,8 @@ def test_frobenius_coefficients_of_stable_polynomials():
                     diffs = [a - b for a, b in zip_longest(s, mu, fillvalue=0)]
                     if len(mu) <= len(s) and all(d in (0, 1) for d in diffs):
                         expected[mu] = (-1) ** (size - k)
-            got = _fractions(frobenius_coefficients(frobenius_poly_stable(s)))
+            form = binomial_coefficients(frobenius_poly_stable(s))
+            got = _fractions(frobenius_coefficients(form, size))
             assert got == expected, s
 
 
@@ -388,7 +444,8 @@ def test_module_steps_match_the_round_trip(socles, top):
     # tops below and above the weight; the g_mu are the f_mu of the sum of
     # the n F_s, in integers, so the way back reduces to the denominator 1
     g = frobenius._strip_coefficients(frozenset(socles.items()))
-    f = _fractions(frobenius_coefficients(poly_of_socles_by_sum(socles)))
+    poly = poly_of_socles_by_sum(socles)
+    f = _fractions(frobenius_coefficients(binomial_coefficients(poly), poly.weighted_degree()))
     assert {mu.parts: c for mu, c in f.items()} == g
     steps, den = module_steps_by_round_trip(socles, top)
     assert den == 1

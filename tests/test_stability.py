@@ -536,7 +536,8 @@ def last_net_step(poly, upto=None):
     of the entries for s that start there, and from N_P on the socle
     multiplicities of poly are constant.
     """
-    steps, _ = frobenius.socle_steps(poly, poly.weighted_degree())
+    top = poly.weighted_degree()
+    steps, _ = frobenius.socle_steps(bruteforce.binomial_coefficients(poly, top), top)
     net = {}
     for s, start, f in steps:
         if upto is None or start <= upto:
