@@ -29,7 +29,12 @@ Rows are cached in one LRU cache of ROW_CACHE_ROWS rows, keyed by the
 normalised mask.  A row of degree n holds p(n) ints, so the cache holds
 at most ROW_CACHE_ROWS * p(n) entries when no row passes degree n.  At the
 default degree budget of 14 every shape fits at once: the 508 shapes of
-degree <= 14 hold 41,074 entries in all.
+degree <= 14 hold 41,074 entries in all.  A module polynomial reads one
+row per mu by its parts, and the polynomials of one session read the same
+shapes again and again (434 reads for the 67 socles of size <= 8), so each
+shape's key (mask, n) is kept too, in a second LRU cache of
+ROW_CACHE_ROWS keys.  It holds two ints per shape and never a row: the
+rows live in the row cache alone, and its evictions free them.
 """
 
 from functools import lru_cache
@@ -44,20 +49,22 @@ def char_value(shape, cycles):
     n = sum(shape)
     if n != sum(cycles):
         raise ValueError(f"size mismatch: |{shape}| vs |{cycles}|")
-    return _row(_mask(shape), n)[classes(n).index[cycles]]
+    return char_row(shape)[classes(n).index[cycles]]
 
 
 def char_row(shape):
     """The values of shape's character on classes(|shape|).cycles, as a tuple."""
-    return _row(_mask(shape), sum(shape))
+    return _row(*_key(shape))
 
 
-def _mask(shape):
+@lru_cache(maxsize=ROW_CACHE_ROWS)
+def _key(shape):
+    """(mask, |shape|): the key of shape's row in the row cache."""
     ell = len(shape)
     mask = 0
     for i, part in enumerate(shape):
         mask |= 1 << (part + ell - 1 - i)
-    return mask
+    return mask, sum(shape)
 
 
 def cache_size():

@@ -294,17 +294,21 @@ def _cycle_form(nu, top):
 def _integer_steps(pieces):
     """The entries that lead from zero through the multiplicities of each
     piece (form, lo, hi) in turn, the B_rho form of a polynomial that is a
-    character on [lo, hi]: a jump at lo to its multiplicities, then its
-    own changes up to hi, read in integers off its step list.  ValueError
-    at the first degree where a multiplicity is negative or no integer."""
+    character on [lo, hi]: at lo and at each start of its step list up to
+    hi, one entry per multiplicity that changes there, read in integers.
+    ValueError at the first degree where a multiplicity is negative or no
+    integer; one that does not change was checked where it last did."""
     prev = {}
     for form, lo, hi in pieces:
         steps, den = socle_steps(form, hi)
         degrees = [lo] + sorted({b for _, b, _ in steps if lo < b <= hi})
         for m, sums in zip(degrees, prefix_sums(steps, degrees)):
-            yield from ((s, m, -n) for s, n in prev.items())
-            prev = {}
+            for s in prev.keys() - sums.keys():
+                yield s, m, -prev.pop(s)
             for s, total in sums.items():
+                old = prev.get(s, 0)
+                if total == old * den:
+                    continue
                 n, rem = divmod(total, den)
                 if rem:
                     n = Fraction(total, den)
@@ -312,7 +316,7 @@ def _integer_steps(pieces):
                 if n < 0:
                     raise ValueError(f"negative multiplicity {n} for {s.pad(m)}")
                 prev[s] = n
-                yield s, m, n
+                yield s, m, n - old
 
 
 @lru_cache(maxsize=1024)

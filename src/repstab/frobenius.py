@@ -82,28 +82,28 @@ def _poly_of_socles(pairs):
     """The sum of n F_s over the frozenset of pairs (s, n), by the route of
     the module docstring, in one dense pass over its _binomial_rows: the
     B_rho are summed into one list over a common denominator, a slot per
-    monomial of weight <= the top degree (its _monomial_positions), read
-    back from the last slot in print order.  That is already canonical
-    form, reduced, free of zeros and in print order, so the dict is handed
-    over as built (from_canonical)."""
+    monomial of weight <= the top degree (its _slot_table), read back from
+    the last slot in print order.  That is already canonical form,
+    reduced, free of zeros and in print order, so the dict is handed over
+    as built (from_canonical)."""
     rows = _binomial_rows(pairs)
     top = max(rows, default=0)
     den = factorial(top)  # every prod_i m_i(rho)! divides it
-    acc = [0] * _monomial_count(top)
+    positions, monos = _slot_table(top)
+    acc = [0] * len(monos)
     for k, row in rows.items():
         bases, cycles = _binomial_bases(k), classes(k).cycles
         for j, x in enumerate(row):
             if x:
                 basis = bases[j]
                 if basis is None:
-                    basis = bases[j] = _binomial_basis(cycles[j])
+                    basis = bases[j] = _binomial_basis(cycles[j], positions)
                 terms, b_den = basis
                 x *= den // b_den
                 for pos, b in terms:
                     acc[pos] += x * b
     g = gcd(den, *acc)
     coefs = list(map(floordiv, reversed(acc), repeat(g)))  # in print order
-    monos = chain.from_iterable(map(_monomial_positions, range(top, -1, -1)))
     return CharPolynomial.from_canonical(dict(compress(zip(monos, coefs), coefs)), den // g)
 
 
@@ -152,6 +152,16 @@ def _vertical_strips(soc):
 
 
 @lru_cache(maxsize=64)
+def _slot_table(top):
+    """(positions, monos), the slots of the dense pass at top: positions[w]
+    is _monomial_positions(w) for each weight w <= top, and monos holds
+    every monomial of weight <= top in print order, the slots read from
+    the last."""
+    positions = tuple(map(_monomial_positions, range(top + 1)))
+    return positions, tuple(chain.from_iterable(reversed(positions)))
+
+
+@lru_cache(maxsize=64)
 def _monomial_positions(w):
     """{mono: slot} over the monomials of weight w, inserted in print order
     (format_poly: variables lexicographically).  The slots run in reverse
@@ -193,23 +203,27 @@ def _binomial_bases(k):
     return [None] * len(classes(k).cycles)
 
 
-def _binomial_basis(rho):
+def _binomial_basis(rho, positions):
     """B_rho = prod_i C(X_i, m_i(rho)) for the descending cycle tuple rho,
     the number of rho-typed stable subsets, as (terms, den): B_rho = sum of
-    b / den times the monomial in slot pos (_monomial_positions) over the
-    pairs (pos, b) of terms, den > 0.
+    b / den times the monomial in slot pos over the pairs (pos, b) of
+    terms, den > 0.  positions[w] is _monomial_positions(w), for every
+    weight w <= |rho|.
 
     Each factor is the falling factorial of X_i over m_i!, and the factors
     share no variable, so B_rho is built in integers over prod_i m_i!.
     """
     monos = [((), 0, 1)]  # (monomial, weight, coefficient)
     den = 1
-    for i in sorted(set(rho)):
-        k = rho.count(i)
+    end = len(rho)
+    while end:  # the runs of equal parts of rho, the smallest part first
+        i = rho[end - 1]
+        start = rho.index(i)
+        k, end = end - start, start
         den *= factorial(k)
         row = tuple(enumerate(falling_coefficients(k)[1:], 1))  # s(k, j) != 0 for j >= 1
         monos = [(mono + ((i, j),), w + i * j, c * s) for mono, w, c in monos for j, s in row]
-    return tuple((_monomial_positions(w)[mono], c) for mono, w, c in monos), den
+    return tuple((positions[w][mono], c) for mono, w, c in monos), den
 
 
 def frobenius_poly_of_module(dec):

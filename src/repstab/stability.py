@@ -58,11 +58,23 @@ class StabilityReport:
         return all(ok for _, ok in self.bound_checks)
 
     def to_json_dict(self):
+        return {**self.head_json_dict(), **self.scan_json_dict()}
+
+    def head_json_dict(self):
+        """The fields of to_json_dict through certified_to: the family and
+        the window it is certified on."""
         return {
             "schema": 1,
             "spec": format_spec(self.spec),
             "m_max": self.m_max,
             "certified_to": self.certified_to,
+        }
+
+    def scan_json_dict(self):
+        """The fields of to_json_dict after certified_to: what the scan
+        found, the same at every m_max whose scan runs at one window
+        (verify_equivalence)."""
+        return {
             "rank_rs": self.rank_rs,
             "rank_pc": self.rank_pc,
             "poly": None if self.poly is None else format_poly(self.poly),
@@ -141,6 +153,13 @@ def stable_window(spec):
     return max(t, 2 * w) + 1
 
 
+def scan_window(spec, m_max):
+    """min(m_max, stable_window(spec)): the degree verify_equivalence scans
+    at for m_max, which finds what a scan at m_max finds, and the key of
+    its cached scans."""
+    return min(m_max, stable_window(spec))
+
+
 def verify_equivalence(spec, m_max):
     """Estimate both ranks and check every bound relating them.
 
@@ -152,12 +171,12 @@ def verify_equivalence(spec, m_max):
         constant between the starts of the family's step list, so they
         are checked at the first degree and at each later start.
 
-    The scan runs at min(m_max, stable_window(spec)), where it finds the
+    The scan runs at scan_window(spec, m_max), where it finds the
     same ranks, polynomial, multiplicities and checks as at m_max, and is
     cached there; the report is a fresh one, certified to m_max.
     """
     check_degree(m_max)
-    rank_rs, rank_pc, poly, stable, checks = _scan(spec, min(m_max, stable_window(spec)))
+    rank_rs, rank_pc, poly, stable, checks = _scan(spec, scan_window(spec, m_max))
     return StabilityReport(spec, m_max, rank_rs, rank_pc, poly, dict(stable), list(checks))
 
 

@@ -30,7 +30,7 @@ from repstab.fbmodules import (
 )
 from repstab.frobenius import frobenius_poly_of_socles, socle_steps
 from repstab.partitions import Partition, classes, cycle_types_of, format_cycle_type
-from repstab.pieri import horizontal_strip_steps, sum_steps
+from repstab.pieri import horizontal_strip_steps, prefix_sums, sum_steps
 
 # direct enumeration of S_m stops being reasonable past this degree
 INDUCTION_MAX_DEGREE = 8
@@ -653,6 +653,31 @@ def rank_pc_by_walk(spec, m_max):
     while n > 0 and decompose_poly(poly, n - 1) == socles_by_degree(spec, n - 1):
         n -= 1
     return None if n == m_max > 0 else (n, poly)
+
+
+def integer_steps_by_jumps(pieces):
+    """fbmodules._integer_steps as it was first written: at lo and at each
+    start of a piece's step list up to hi, an entry back to zero for every
+    multiplicity held and one up to every multiplicity there, each checked,
+    whether it changed or not; netted per (s, start), the entries are the
+    library's.  ValueError at the first degree where a multiplicity is
+    negative or no integer."""
+    prev = {}
+    for form, lo, hi in pieces:
+        steps, den = socle_steps(form, hi)
+        degrees = [lo] + sorted({b for _, b, _ in steps if lo < b <= hi})
+        for m, sums in zip(degrees, prefix_sums(steps, degrees)):
+            yield from ((s, m, -n) for s, n in prev.items())
+            prev = {}
+            for s, total in sums.items():
+                n, rem = divmod(total, den)
+                if rem:
+                    n = Fraction(total, den)
+                    raise ValueError(f"non-integral multiplicity {n} for {s.pad(m)}")
+                if n < 0:
+                    raise ValueError(f"negative multiplicity {n} for {s.pad(m)}")
+                prev[s] = n
+                yield s, m, n
 
 
 # -- a tensor weight on the class route ----------------------------------------

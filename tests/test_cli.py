@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -295,12 +296,17 @@ def test_bound_check_failure_exit_3(capsys, monkeypatch):
     assert run(["tensorweight", "1", "1", "4"]) == 3
 
 
+# the caller's environment, PYTHONDONTWRITEBYTECODE included, with the
+# library on the path
+_CHILD_ENV = {**os.environ, "PYTHONPATH": "src"}
+
+
 def _run_python(*args, timeout=None):
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        env=_CHILD_ENV,
         cwd=str(pathlib.Path(__file__).parent.parent),
         timeout=timeout,
     )
@@ -319,7 +325,7 @@ def test_a_reader_that_closes_the_pipe_gets_no_traceback():
         [sys.executable, "-m", "repstab", "chartable", "14"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        env=_CHILD_ENV,
         cwd=str(pathlib.Path(__file__).parent.parent),
     )
     assert proc.stdout.read(10) == b"character "
@@ -349,6 +355,30 @@ def test_a_heavy_cycle_scans_only_its_window(spec):
     out = _run_python("-m", "repstab", "rankscan", "--spec", spec, "--mmax", "14", timeout=10)
     assert out.returncode == 0, out.stderr
     assert "rank_rs: 14\nrank_pc: not polynomial\n" in out.stdout
+
+
+def test_warm_rankscan_documents_match_a_fresh_interpreter(capsys):
+    # a --json document renders its fields after certified_to once per
+    # cached scan, keyed like the scan by (spec, min(m_max, W)): windows
+    # on both sides of W, run in shuffled order in this interpreter, must
+    # each print what a fresh interpreter prints
+    from repstab.stability import stable_window
+    from test_stability import CI_SPECS
+
+    cases = [
+        (text, m_max)
+        for text in CI_SPECS
+        for w in [stable_window(parse_spec(text))]
+        for m_max in (w - 2, w - 1, w, w + 1, 10**6)
+    ]
+    random.Random(27).shuffle(cases)
+    for text, m_max in cases:
+        argv = ["rankscan", "--json", "--spec", text, "--mmax", str(m_max), "--budget", str(m_max)]
+        assert run(argv) == 0
+        warm = capsys.readouterr().out
+        fresh = _run_python("-m", "repstab", *argv, timeout=20)
+        assert fresh.returncode == 0, fresh.stderr
+        assert warm == fresh.stdout, (text, m_max)
 
 
 def nested(head, depth):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repstab.characters import IrrDecomposition, decompose, irr_character
 from repstab.cyclepoly import X, cycle_poly, parse_poly
@@ -14,6 +15,7 @@ from repstab.fbmodules import (
     VFamily,
     WeightTruncateGT,
     WeightTruncateLE,
+    _cycle_form,
     _integer_steps,
     character_at,
     family_steps,
@@ -21,7 +23,8 @@ from repstab.fbmodules import (
     parse_spec,
     terms_at,
 )
-from repstab.partitions import Partition, cycle_types_of
+from repstab.frobenius import binomial_form_of_socles, binomial_product
+from repstab.partitions import Partition, classes, cycle_types_of, partitions_of
 
 from bruteforce import (
     binomial_coefficients,
@@ -29,6 +32,7 @@ from bruteforce import (
     cycle_poly_by_falling_factorials,
     eval_rho,
     hook_length_dimension,
+    integer_steps_by_jumps,
     representative,
 )
 from lemmas import express_X_in_E, substitute
@@ -161,6 +165,62 @@ def test_module_socles_report_the_first_failing_degree():
         with pytest.raises(ValueError) as info:
             list(_integer_steps([(binomial_coefficients(parse_poly(poly)), 0, 4)]))
         assert str(info.value) == message
+
+
+_socles = st.dictionaries(
+    st.integers(0, 4).flatmap(lambda k: st.sampled_from(partitions_of(k))),
+    st.integers(-2, 3),
+    max_size=3,
+)
+
+
+@st.composite
+def integer_step_pieces(draw):
+    """Pieces (form, lo, hi) over consecutive ranges that cover [0, top],
+    each the form of a cycle module, of a product of two module
+    polynomials (a tensor piece; a negative multiplicity makes it no
+    character) or of any polynomial, cut at hi."""
+    top = draw(st.integers(0, 9))
+    breaks = sorted({0}.union(draw(st.sets(st.integers(0, top), max_size=3))))
+    pieces = []
+    for lo, end in zip(breaks, breaks[1:] + [top + 1]):
+        hi = end - 1
+        kind = draw(st.sampled_from(["cycle", "tensor", "any"]))
+        if kind == "cycle":
+            nu = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+            form = _cycle_form(sorted(nu, reverse=True), hi)
+        elif kind == "tensor":
+            left, right = draw(_socles), draw(_socles)
+            form = binomial_product(
+                binomial_form_of_socles(left), binomial_form_of_socles(right), hi
+            )
+        else:
+            rho = st.integers(0, 6).flatmap(lambda k: st.sampled_from(classes(k).cycles))
+            num = draw(st.dictionaries(rho, st.integers(-3, 3).filter(bool), max_size=4))
+            form = num, draw(st.integers(1, 3))
+        pieces.append((form, lo, hi))
+    return pieces
+
+
+def _netted(entries):
+    """{(s, start): delta} of the entries netted, zeros dropped, or the
+    message of the ValueError they stop at."""
+    net = {}
+    try:
+        for s, start, delta in entries:
+            net[s, start] = net.get((s, start), 0) + delta
+    except ValueError as exc:
+        return str(exc)
+    return {key: d for key, d in net.items() if d}
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_step_pieces())
+def test_integer_steps_net_to_the_entries_of_every_jump(pieces):
+    # only the multiplicities that change are emitted, and only they are
+    # checked: the same net entries, or the same first failing socle and
+    # degree (the message names s[m])
+    assert _netted(_integer_steps(pieces)) == _netted(integer_steps_by_jumps(pieces))
 
 
 def test_terms_at_projective_and_sum():

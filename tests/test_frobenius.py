@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import pkgutil
 from fractions import Fraction
 from itertools import zip_longest
@@ -7,7 +9,7 @@ from math import factorial
 from hypothesis import given, settings, strategies as st
 
 import repstab
-from repstab import cyclepoly, fbmodules, frobenius
+from repstab import cli, cyclepoly, fbmodules, frobenius
 from repstab.characters import IrrDecomposition, inner_product, irr_char, irr_character
 from repstab.cyclepoly import (
     CharPolynomial,
@@ -179,17 +181,18 @@ def test_monomial_positions_hold_each_weight_in_print_order():
         assert list(table.values()) == list(range(end + len(table) - 1, end - 1, -1)), w
         end += len(table)
         assert frobenius._monomial_count(w) == end, w
+        positions, monos = frobenius._slot_table(w)
+        assert positions[w] is table and len(monos) == end, w
+        assert list(monos) == sorted(monos, key=print_order), w  # the slots read backwards
+        assert all(positions[sum(v * e for v, e in m)][m] == end - 1 - i for i, m in enumerate(monos))
 
 
 def basis_terms(rho):
     """frobenius._binomial_basis(rho) with its slots read back as
     monomials: (num, den), B_rho = sum of num[mono] / den mono."""
-    terms, den = frobenius._binomial_basis(rho)
-    monos = {
-        slot: mono
-        for w in range(sum(rho) + 1)
-        for mono, slot in frobenius._monomial_positions(w).items()
-    }
+    positions = [frobenius._monomial_positions(w) for w in range(sum(rho) + 1)]
+    terms, den = frobenius._binomial_basis(rho, positions)
+    monos = {slot: mono for table in positions for mono, slot in table.items()}
     assert len({slot for slot, _ in terms}) == len(terms), rho  # each slot once
     return {monos[slot]: b for slot, b in terms}, den
 
@@ -212,12 +215,15 @@ def test_caches_are_bounded():
     caches = library_caches()
     for name in [
         "repstab._mnpure._row",
+        "repstab._mnpure._key",
+        "repstab.cli._scan_fields",
         "repstab.fbmodules.family_steps",
         "repstab.fbmodules.parse_spec",
         "repstab.fbmodules.stable_range",
         "repstab.stability._scan",
         "repstab.frobenius._binomial_bases",
         "repstab.frobenius._monomial_positions",
+        "repstab.frobenius._slot_table",
         "repstab.frobenius._strip_coefficients",
         "repstab.pieri.horizontal_strip_steps",
         "repstab.cyclepoly._monomial",
@@ -234,6 +240,8 @@ def test_clear_caches_empties_every_cache():
         ("(tensor (vfam 2,1) (vfam 1))", 17),
     ]:
         format_poly(verify_equivalence(parse_spec(text), m_max).poly)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run(["rankscan", "--json", "--spec", text, "--mmax", str(m_max), "--budget", "30"])
     caches = library_caches()
 
     def sizes():
@@ -242,10 +250,13 @@ def test_clear_caches_empties_every_cache():
     assert sizes()["repstab.cyclepoly._monomial"] > 0
     assert sizes()["repstab.frobenius._binomial_bases"] > 0
     assert sizes()["repstab.frobenius._monomial_positions"] > 0
+    assert sizes()["repstab.frobenius._slot_table"] > 0
     assert sizes()["repstab.pieri.horizontal_strip_steps"] > 0
     for name in ["parse_spec", "stable_range"]:
         assert sizes()[f"repstab.fbmodules.{name}"] > 0, name
     assert sizes()["repstab.stability._scan"] == 2
+    assert sizes()["repstab.cli._scan_fields"] == 2
+    assert sizes()["repstab._mnpure._key"] > 0
     repstab.clear_caches()
     assert {name: n for name, n in sizes().items() if n} == {}
 
