@@ -30,6 +30,7 @@ from .partitions import (
 )
 from .pieri import pieri_expand
 from .stability import (
+    StabilityReport,
     scan_window,
     tensor_weight,
     tensor_weight_bound_holds,
@@ -138,7 +139,21 @@ def _parse(argv):
 
 
 def run(argv):
-    """Execute one invocation; returns the exit code, output on stdout."""
+    """Execute one invocation; returns the exit code, output on stdout.
+    Exact integers are read and printed at any size: CPython's cap on the
+    digits of an int/str conversion (0 when off or absent) is lifted while
+    it runs and the caller's restored after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv):
     try:
         args = _parse(argv)
     except _ArgumentError as exc:
@@ -351,40 +366,43 @@ def _cmd_rho(args):
 def _cmd_rankscan(args):
     spec = parse_spec(args.spec)
     check_budget(args.mmax, args.budget)
-    report = verify_equivalence(spec, args.mmax)
     if args.json:
-        # _emit(report.to_json_dict()), byte for byte, with the fields after
-        # certified_to rendered once per cached scan
-        fields = _json_fields(report.head_json_dict(), "\n  ")
-        fields.append(_scan_fields(spec, scan_window(spec, args.mmax)))
-        print("{\n  " + ",\n  ".join(fields) + "\n}")
-    else:
-        print(f"spec: {args.spec}")
-        print(f"m_max: {args.mmax} (ranks certified on 0..{report.certified_to} only)")
-        print(f"rank_rs: {'not stabilized' if report.rank_rs is None else report.rank_rs}")
-        print(f"rank_pc: {'not polynomial' if report.rank_pc is None else report.rank_pc}")
-        if report.poly is not None:
-            print(f"poly: {format_poly(report.poly)}")
-        if report.stable_multiplicities:
-            print("stable multiplicities:")
-            for soc, n in sorted(
-                report.stable_multiplicities.items(), key=lambda kv: kv[0].parts
-            ):
-                print(f"  {format_partition(soc)}: {n}")
-        if report.bound_checks:
-            print("bound checks:")
-            for name, ok in report.bound_checks:
-                print(f"  {name}: {'ok' if ok else 'FAILED'}")
+        # _emit(verify_equivalence(spec, m_max).to_json_dict()), byte for
+        # byte: the head from spec and m_max alone, the fields after
+        # certified_to and the exit code rendered once per cached scan
+        head = StabilityReport(spec, args.mmax).head_json_dict()
+        fields, code = _scan_fields(spec, scan_window(spec, args.mmax))
+        print("{\n  " + ",\n  ".join(_json_fields(head, "\n  ") + [fields]) + "\n}")
+        return code
+    report = verify_equivalence(spec, args.mmax)
+    print(f"spec: {args.spec}")
+    print(f"m_max: {args.mmax} (ranks certified on 0..{report.certified_to} only)")
+    print(f"rank_rs: {'not stabilized' if report.rank_rs is None else report.rank_rs}")
+    print(f"rank_pc: {'not polynomial' if report.rank_pc is None else report.rank_pc}")
+    if report.poly is not None:
+        print(f"poly: {format_poly(report.poly)}")
+    if report.stable_multiplicities:
+        print("stable multiplicities:")
+        for soc, n in sorted(
+            report.stable_multiplicities.items(), key=lambda kv: kv[0].parts
+        ):
+            print(f"  {format_partition(soc)}: {n}")
+    if report.bound_checks:
+        print("bound checks:")
+        for name, ok in report.bound_checks:
+            print(f"  {name}: {'ok' if ok else 'FAILED'}")
     return EXIT_OK if report.all_bounds_hold() else EXIT_BOUND_FAILED
 
 
 @lru_cache(maxsize=1024)
 def _scan_fields(spec, window):
-    """The fields of a rankscan --json document after certified_to, as
-    _json writes them there, for every m_max whose scan runs at window
-    (stability.scan_window): rendered once per cached scan, keyed the same."""
-    fields = verify_equivalence(spec, window).scan_json_dict()
-    return ",\n  ".join(_json_fields(fields, "\n  "))
+    """(the fields of a rankscan --json document after certified_to, as
+    _json writes them there, its exit code) for every m_max whose scan
+    runs at window (stability.scan_window): rendered once per cached scan,
+    keyed the same."""
+    report = verify_equivalence(spec, window)
+    fields = ",\n  ".join(_json_fields(report.scan_json_dict(), "\n  "))
+    return fields, EXIT_OK if report.all_bounds_hold() else EXIT_BOUND_FAILED
 
 
 def _cmd_tensorweight(args):

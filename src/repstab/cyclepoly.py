@@ -19,7 +19,7 @@ NEG_INF, which compares below every integer.
 cycle_poly(ell) is the polynomial E_ell that counts the ell-cycles
 commuting with a permutation, the character of the cycle module (cycle
 ell) at every degree, built in integers, and cycle_binomials(ell) the
-same in the binomial basis B_rho; cycle_poly_product multiplies E_ell over nu.
+same in the binomial basis B_rho.
 """
 
 import re
@@ -271,15 +271,6 @@ def cycle_binomials(ell):
             e = ell // d
             num[(d,) * e] = _totient(d) * d**e * factorial(e)
     return num, ell
-
-
-def cycle_poly_product(nu):
-    """Product of cycle_poly over the parts of nu: the character polynomial
-    of the corresponding tensor product of cycle modules (class route)."""
-    out = CharPolynomial.one()
-    for part in nu:
-        out = out * cycle_poly(part)
-    return out
 
 
 # -- printing and parsing ---------------------------------------------------

@@ -25,11 +25,10 @@ T and every socle s has |s| <= w, per constructor, so a list is built
 once, at min(top, T), whatever the top asked for.
 
 At the API edge, the socle multiplicities at m (socles_at) are the
-prefix sums of the list up to m, and terms_at pads each socle s to s[m].
-character_at runs over the p(m) classes of S_m: cycle modules evaluate
-their polynomial on every class and tensor products multiply characters
-pointwise, so it stays an independent second route.  All three take any
-degree but a negative one (check_degree): the cap is the command line's.
+prefix sums of the list up to m, terms_at pads each socle s to s[m], and
+character_at is the character of terms_at: one route from a family to
+its character, the one a scan reads.  All three take any degree but a
+negative one (check_degree): the cap is the command line's.
 """
 
 import re
@@ -37,8 +36,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
-from .characters import ClassFunction, IrrDecomposition
-from .cyclepoly import cycle_binomials, cycle_poly_product, eval_rho_all
+from .characters import IrrDecomposition
+from .cyclepoly import cycle_binomials
 from .errors import ParseError
 from .frobenius import binomial_form_of_socles, binomial_product, socle_steps
 from .partitions import Partition, format_partition, parse_partition
@@ -169,14 +168,8 @@ def socles_at(spec, m):
 
 
 def character_at(spec, m):
-    """Character of the family at degree m.
-
-    Cycle modules evaluate their cycle-count polynomial directly and tensor
-    products multiply the factors' characters, keeping those paths
-    independent of the step lists.
-    """
-    check_degree(m)
-    return _character(spec, m)
+    """Character of the family at degree m, that of terms_at(spec, m)."""
+    return terms_at(spec, m).character()
 
 
 def check_degree(m):
@@ -317,22 +310,6 @@ def _integer_steps(pieces):
                     raise ValueError(f"negative multiplicity {n} for {s.pad(m)}")
                 prev[s] = n
                 yield s, m, n - old
-
-
-@lru_cache(maxsize=1024)
-def _character(spec, m):
-    match spec:
-        case CycleModule(nu=nu):
-            return eval_rho_all(cycle_poly_product(nu), m)
-        case Tensor(left=left, right=right):
-            return _character(left, m) * _character(right, m)
-        case DirectSum(children=children):
-            total = ClassFunction.zero(m)
-            for child in children:
-                total = total + _character(child, m)
-            return total
-        case _:
-            return terms_at(spec, m).character()
 
 
 # -- the expression language ---------------------------------------------------

@@ -5,9 +5,10 @@ Everything here works directly with permutations as tuples (images of
 algorithms, so that agreement is meaningful.  The exceptions are the
 last two sections: one evaluates a family one degree at a time from the
 library's per-polynomial step lists, as a second route to the family's
-composed step list; the other takes the weight of a tensor product of
-irreducibles on the library's class route, as a second route to the one
-read off a step list.
+composed step list; the other is the class route, which evaluates on the
+p(m) classes of S_m a family's character (character_by_classes) and the
+weight of a tensor product of irreducibles, each a second route to what
+the library reads off a step list.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from itertools import permutations, product
 from math import factorial, gcd
 
 from repstab.characters import ClassFunction, decompose, irr_character, irr_row
-from repstab.cyclepoly import CharPolynomial, X, cycle_poly_product
+from repstab.cyclepoly import CharPolynomial, X, cycle_poly, eval_rho_all
 from repstab.errors import BudgetError
 from repstab.fbmodules import (
     CycleModule,
@@ -27,6 +28,7 @@ from repstab.fbmodules import (
     VFamily,
     WeightTruncateGT,
     WeightTruncateLE,
+    terms_at,
 )
 from repstab.frobenius import frobenius_poly_of_socles, socle_steps
 from repstab.partitions import Partition, classes, cycle_types_of, format_cycle_type
@@ -680,12 +682,42 @@ def integer_steps_by_jumps(pieces):
                 yield s, m, n
 
 
-# -- a tensor weight on the class route ----------------------------------------
+# -- the class route -----------------------------------------------------------
 #
-# The library reads the weight of a tensor product of two padded
-# irreducibles off the step list of the product of their families
-# (stability.tensor_weight).  This multiplies their characters on every
-# class of S_m through the kernel and decomposes the product.
+# The library reads a family's character, and the weight of a tensor
+# product of two padded irreducibles, off step lists (fbmodules.character_at,
+# stability.tensor_weight).  These evaluate them on every class of S_m: a
+# cycle module its cycle-count polynomial, a tensor product the product of
+# its factors' characters, through the kernel for irreducibles.
+
+
+def cycle_poly_product(nu):
+    """Product of cycle_poly over the parts of nu: the character polynomial
+    of the corresponding tensor product of cycle modules."""
+    out = CharPolynomial.one()
+    for part in nu:
+        out = out * cycle_poly(part)
+    return out
+
+
+@lru_cache(maxsize=1024)
+def character_by_classes(spec, m):
+    """fbmodules.character_at(spec, m) over the p(m) classes of S_m: cycle
+    modules evaluate their polynomial on every class, tensor products
+    multiply their factors' characters pointwise and direct sums add their
+    children's; every other node is read off the library's decomposition."""
+    match spec:
+        case CycleModule(nu=nu):
+            return eval_rho_all(cycle_poly_product(nu), m)
+        case Tensor(left=left, right=right):
+            return character_by_classes(left, m) * character_by_classes(right, m)
+        case DirectSum(children=children):
+            total = ClassFunction.zero(m)
+            for child in children:
+                total = total + character_by_classes(child, m)
+            return total
+        case _:
+            return terms_at(spec, m).character()
 
 
 def tensor_weight_by_classes(lam, mu, m):

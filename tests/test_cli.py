@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import pathlib
@@ -9,8 +10,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repstab
+from repstab import cli
 from repstab.cli import _json, run
-from repstab.cyclepoly import CharPolynomial, format_poly, parse_poly
+from repstab.cyclepoly import CharPolynomial, cycle_poly, format_poly, parse_poly
 from repstab.errors import ParseError
 from repstab.fbmodules import (
     MAX_SPEC_DEPTH,
@@ -294,6 +297,100 @@ def test_bound_check_failure_exit_3(capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "tensor_weight_bound_holds", lambda *a, **k: False)
     assert run(["tensorweight", "1", "1", "4"]) == 3
+
+
+def test_rankscan_json_builds_one_report_per_window(capsys, monkeypatch):
+    # a render-cache miss builds the one report its fields and exit code
+    # come from; a repeat at another m_max in the same window builds none
+    from repstab.stability import StabilityReport, stable_window, verify_equivalence
+
+    calls = []
+
+    def counted(spec, m_max):
+        calls.append(m_max)
+        return verify_equivalence(spec, m_max)
+
+    def scan(text, m_max):
+        calls.clear()
+        code = run(["rankscan", "--json", "--spec", text, "--mmax", str(m_max), "--budget", str(m_max)])
+        return code, len(calls), capsys.readouterr().out
+
+    monkeypatch.setattr(cli, "verify_equivalence", counted)
+    repstab.clear_caches()
+    text = "(tensor (vfam 2,1) (vfam 1))"
+    w = stable_window(parse_spec(text))
+    for m_max, reports in [(w + 1, 1), (10**6, 0), (w - 1, 1), (w - 1, 0)]:
+        code, made, out = scan(text, m_max)
+        assert (code, made) == (0, reports), m_max
+        expected = verify_equivalence(parse_spec(text), m_max).to_json_dict()
+        assert out == json.dumps(expected, indent=2) + "\n", m_max
+
+    # the exit code is cached with the fields: a failed bound check exits 3
+    # on the miss and on the repeat
+    def failing(spec, m_max):
+        calls.append(m_max)
+        return StabilityReport(spec, m_max, bound_checks=[("rank_pc_le_rank_rs", False)])
+
+    monkeypatch.setattr(cli, "verify_equivalence", failing)
+    repstab.clear_caches()
+    assert scan(text, w + 1)[:2] == (3, 1)
+    assert scan(text, w + 2)[:2] == (3, 0)
+    repstab.clear_caches()  # no failing render left for later tests
+
+
+def _int_digits():
+    """CPython's cap on the digits of an int/str conversion, 0 when it is
+    off or the interpreter has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextlib.contextmanager
+def _no_int_digit_cap():
+    """The cap on int/str conversions lifted, as cli.run lifts it."""
+    limit = _int_digits()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_cyclepoly_prints_coefficients_of_any_size(capsys):
+    # cycle_poly(1560) and up have coefficients past CPython's default cap
+    # of 4,300 digits, which made the command exit 1
+    assert run(["cyclepoly", "1600", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["weight"] == 1600
+    with _no_int_digit_cap():
+        assert parse_poly(doc["poly"]) == cycle_poly(1600)
+
+
+def test_rho_prints_values_of_any_size(capsys):
+    # 3**9100 has 4,342 digits
+    argv = ["rho", "--poly", "X1^9100", "--m", "3"]
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    assert run([*argv, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    with _no_int_digit_cap():
+        assert f"1^3: {3**9100}\n" in text
+        assert {"type": "1^3", "value": str(3**9100)} in doc["values"]
+
+
+def test_run_restores_the_callers_int_digit_cap():
+    default = _int_digits()
+    for limit in ([640, 0, default] if default else []):
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert run(["rho", "--poly", "X1^9100", "--m", "3"]) == 0
+            assert _int_digits() == limit
+            assert run(["rho", "--poly", "X1^", "--m", "3"]) == 1
+            assert _int_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(default)
+    assert _int_digits() == default
 
 
 # the caller's environment, PYTHONDONTWRITEBYTECODE included, with the

@@ -28,6 +28,7 @@ from repstab.partitions import Partition, classes, cycle_types_of, partitions_of
 
 from bruteforce import (
     binomial_coefficients,
+    character_by_classes,
     commuting_cycle_count,
     cycle_poly_by_falling_factorials,
     eval_rho,
@@ -306,7 +307,7 @@ def test_consistency_terms_vs_character():
     ]
     for spec in specs:
         for m in range(7):
-            assert decompose(character_at(spec, m)) == terms_at(spec, m), (spec, m)
+            assert decompose(character_by_classes(spec, m)) == terms_at(spec, m), (spec, m)
 
 
 def test_budget_errors():

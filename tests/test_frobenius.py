@@ -9,12 +9,11 @@ from math import factorial
 from hypothesis import given, settings, strategies as st
 
 import repstab
-from repstab import cli, cyclepoly, fbmodules, frobenius
+from repstab import cli, frobenius
 from repstab.characters import IrrDecomposition, inner_product, irr_char, irr_character
 from repstab.cyclepoly import (
     CharPolynomial,
     X,
-    cycle_poly_product,
     eval_rho_all,
     falling_coefficients,
     format_poly,
@@ -36,6 +35,7 @@ from repstab.stability import verify_equivalence
 import bruteforce
 from bruteforce import (
     binomial_coefficients,
+    cycle_poly_product,
     decompose_poly,
     eval_rho,
     falling_factorial,
@@ -424,9 +424,6 @@ def test_a_long_cycle_scan_multiplies_no_monomials(monkeypatch):
 
     monkeypatch.setattr(CharPolynomial, "__mul__", counted("mul", CharPolynomial.__mul__))
     monkeypatch.setattr(CharPolynomial, "__rmul__", counted("rmul", CharPolynomial.__rmul__))
-    for module in (cyclepoly, fbmodules):
-        product = counted("cycle_poly_product", module.cycle_poly_product)
-        monkeypatch.setattr(module, "cycle_poly_product", product)
     repstab.clear_caches()
     report = verify_equivalence(parse_spec("(cycle 8 8 8 8 8 8 8 8 8 8)"), 14)
     assert (report.rank_rs, report.rank_pc) == (14, None)

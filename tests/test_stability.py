@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import repstab
 from repstab import frobenius, pieri
 from repstab.characters import IrrDecomposition, decompose, inner_product, irr_character
-from repstab.cyclepoly import CharPolynomial, X, cycle_poly, cycle_poly_product, eval_rho_all
+from repstab.cyclepoly import CharPolynomial, X, cycle_poly, eval_rho_all
 from repstab.fbmodules import (
     CycleModule,
     DirectSum,
@@ -19,7 +19,6 @@ from repstab.fbmodules import (
     VFamily,
     WeightTruncateGT,
     WeightTruncateLE,
-    character_at,
     family_steps,
     format_spec,
     parse_spec,
@@ -41,6 +40,8 @@ from repstab.stability import (
 import bruteforce
 import lemmas
 from bruteforce import (
+    character_by_classes,
+    cycle_poly_product,
     rank_pc_by_walk,
     rank_rs_by_walk,
     socles_by_degree,
@@ -504,10 +505,10 @@ def test_random_family_round_trips_and_certifies(spec):
     assert parse_spec(format_spec(spec)) == spec
     assert hash(parse_spec(format_spec(spec))) == hash(spec)
     for m in range(11):
-        chi = character_at(spec, m)
+        # the second route: the character on the classes of degree m
+        chi = character_by_classes(spec, m)
         terms = terms_at(spec, m)
         assert terms.character() == chi, m
-        # the second route: the character decomposed on the classes of degree m
         assert terms == decompose(chi), m
         assert socles_at(spec, m) == terms.socle_multiplicities(), m
     report = verify_equivalence(spec, 10)
@@ -520,9 +521,9 @@ def test_random_family_round_trips_and_certifies(spec):
         # the class route: the polynomial on every class, from rank_pc on
         n = report.rank_pc
         for m in range(n, 11):
-            assert eval_rho_all(report.poly, m) == character_at(spec, m), m
+            assert eval_rho_all(report.poly, m) == character_by_classes(spec, m), m
         if n > 0:
-            assert eval_rho_all(report.poly, n - 1) != character_at(spec, n - 1)
+            assert eval_rho_all(report.poly, n - 1) != character_by_classes(spec, n - 1)
 
 
 # -- the exact identity rank_rs = max(rank_pc, N_P) ----------------------------
