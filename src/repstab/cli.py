@@ -369,7 +369,7 @@ def _cmd_rankscan(args):
     if args.json:
         # _emit(verify_equivalence(spec, m_max).to_json_dict()), byte for
         # byte: the head from spec and m_max alone, the fields after
-        # certified_to and the exit code rendered once per cached scan
+        # certified_to and the exit code rendered once per scan window
         head = StabilityReport(spec, args.mmax).head_json_dict()
         fields, code = _scan_fields(spec, scan_window(spec, args.mmax))
         print("{\n  " + ",\n  ".join(_json_fields(head, "\n  ") + [fields]) + "\n}")
@@ -398,8 +398,8 @@ def _cmd_rankscan(args):
 def _scan_fields(spec, window):
     """(the fields of a rankscan --json document after certified_to, as
     _json writes them there, its exit code) for every m_max whose scan
-    runs at window (stability.scan_window): rendered once per cached scan,
-    keyed the same."""
+    runs at window (stability.scan_window): scanned and rendered once per
+    family and window."""
     report = verify_equivalence(spec, window)
     fields = ",\n  ".join(_json_fields(report.scan_json_dict(), "\n  "))
     return fields, EXIT_OK if report.all_bounds_hold() else EXIT_BOUND_FAILED

@@ -20,10 +20,11 @@ n.  A module's polynomial sum_s n_s F_s takes one route for one socle or
 many: g_mu = sum_s n_s (-1)^{|s/mu|} over the vertical strips s/mu, then
 c_rho = sum_mu g_mu chi_mu(rho), one kernel row per mu read by its parts
 and summed a row at a time, then one integer sum over the B_rho.  That sum
-is dense: every monomial of weight <= the top degree has a fixed slot in
-one list (weight-major, each weight in reverse print order), so one gcd
-reduces the list and one backward read gives the monomials in print
-order: the polynomial's canonical form, handed over as built.
+is dense: the monomials of weight w are the classes of degree w, and each
+of weight <= the top degree has a fixed slot in one list (weight-major,
+each weight in reverse print order), so one gcd reduces the list and one
+backward read gives the monomials in print order: the polynomial's
+canonical form, handed over as built.
 
 The way back, from a polynomial P to its multiplicities, runs through
 the same basis.  B_rho taken at degree m is the character induced from
@@ -89,15 +90,15 @@ def _poly_of_socles(pairs):
     rows = _binomial_rows(pairs)
     top = max(rows, default=0)
     den = factorial(top)  # every prod_i m_i(rho)! divides it
-    positions, monos = _slot_table(top)
+    positions, monos, bases = _slot_table(top)
     acc = [0] * len(monos)
     for k, row in rows.items():
-        bases, cycles = _binomial_bases(k), classes(k).cycles
+        built, cycles = bases[k], classes(k).cycles
         for j, x in enumerate(row):
             if x:
-                basis = bases[j]
+                basis = built[j]
                 if basis is None:
-                    basis = bases[j] = _binomial_basis(cycles[j], positions)
+                    basis = built[j] = _binomial_basis(cycles[j], positions)
                 terms, b_den = basis
                 x *= den // b_den
                 for pos, b in terms:
@@ -153,62 +154,33 @@ def _vertical_strips(soc):
 
 @lru_cache(maxsize=64)
 def _slot_table(top):
-    """(positions, monos), the slots of the dense pass at top: positions[w]
-    is _monomial_positions(w) for each weight w <= top, and monos holds
-    every monomial of weight <= top in print order, the slots read from
-    the last."""
-    positions = tuple(map(_monomial_positions, range(top + 1)))
-    return positions, tuple(chain.from_iterable(reversed(positions)))
+    """(positions, monos, bases), the dense pass's table at top, built on
+    the one at top - 1.  Per weight w <= top: positions[w] is {mono: slot}
+    over the monomials of weight w in print order, and bases[w] holds the
+    _binomial_basis of each class of degree w (classes(w).cycles order),
+    None until a polynomial first reads it.  monos holds every monomial of
+    weight <= top in print order, the slots read from the last.
 
-
-@lru_cache(maxsize=64)
-def _monomial_positions(w):
-    """{mono: slot} over the monomials of weight w, inserted in print order
-    (format_poly: variables lexicographically).  The slots run in reverse
-    print order and depend on w alone: weight-major, the monomials of
-    weight < w first, then those of weight w from the last printed one to
-    the first, so one list holds every polynomial of weight <= w and is
-    printed by reading it backwards.
-
-    A monomial is its first variable X_v with exponent e, then a monomial
-    of weight w - v e in variables past X_v: in print order, the pairs
-    (v, e) ascending, each followed by those of weight w - v e whose first
-    variable is past v, in their print order.
+    The monomial prod_i X_i^{e_i} of weight w is the class of degree w with
+    e_i i-cycles, read as its pairs (i, e_i), i ascending: a tuple sort of
+    those is print order within w (format_poly: variables
+    lexicographically).  The slots are weight-major, each weight in reverse
+    print order, so they depend on the weight alone and one list, read
+    backwards, prints every polynomial of weight <= top.
     """
-    if not w:
-        return {(): 0}
-    monos = []
-    for v in range(1, w + 1):
-        for e in range(1, w // v + 1):
-            rest = w - v * e
-            if not rest:
-                monos.append(((v, e),))
-            elif rest > v:  # else no monomial of weight rest starts past X_v
-                monos += [((v, e),) + tail for tail in _monomial_positions(rest) if tail[0][0] > v]
-    end = _monomial_count(w - 1) + len(monos)
-    return dict(zip(monos, range(end - 1, -1, -1)))
-
-
-def _monomial_count(w):
-    """The number of monomials of weight <= w, one past the slot of the
-    first one printed of weight w."""
-    return next(iter(_monomial_positions(w).values())) + 1
-
-
-@lru_cache(maxsize=64)
-def _binomial_bases(k):
-    """The _binomial_basis of every class of degree k, in classes(k).cycles
-    order, as a list that holds None for each one not yet built: a
-    polynomial may read a few classes of a degree, a module all of them."""
-    return [None] * len(classes(k).cycles)
+    positions, monos, bases = _slot_table(top - 1) if top else ((), (), ())
+    cycles = classes(top).cycles
+    new = sorted(tuple((i, rho.count(i)) for i in sorted(set(rho))) for rho in cycles)
+    slots = dict(zip(new, range(len(monos) + len(new) - 1, -1, -1)))
+    return positions + (slots,), tuple(new) + monos, bases + ([None] * len(cycles),)
 
 
 def _binomial_basis(rho, positions):
     """B_rho = prod_i C(X_i, m_i(rho)) for the descending cycle tuple rho,
     the number of rho-typed stable subsets, as (terms, den): B_rho = sum of
     b / den times the monomial in slot pos over the pairs (pos, b) of
-    terms, den > 0.  positions[w] is _monomial_positions(w), for every
-    weight w <= |rho|.
+    terms, den > 0.  positions[w] is the {mono: slot} table of weight w of
+    a _slot_table, for every weight w <= |rho|.
 
     Each factor is the falling factorial of X_i over m_i!, and the factors
     share no variable, so B_rho is built in integers over prod_i m_i!.

@@ -14,12 +14,11 @@ certified only on the scanned window [0, m_max]: the estimators verify,
 they do not prove.  verify_equivalence runs both and checks the bounds
 relating the two ranks at the breakpoints of the list.  Past the stable
 window W = max(T, 2w) + 1 of the family's stable range (T, w) no degree
-a scan reads changes, so verify_equivalence scans at min(m_max, W), once
-per family and window, and reports to m_max (no cap); tensor_weight, off
-a step list too, and tensor_weight_bound_holds serve tensorweight.
+a scan reads changes, so verify_equivalence scans at min(m_max, W) and
+reports to m_max (no cap); tensor_weight, off a step list too, and
+tensor_weight_bound_holds serve tensorweight.
 """
 
-from functools import lru_cache
 from operator import itemgetter
 
 from .cyclepoly import CharPolynomial, format_poly
@@ -155,8 +154,7 @@ def stable_window(spec):
 
 def scan_window(spec, m_max):
     """min(m_max, stable_window(spec)): the degree verify_equivalence scans
-    at for m_max, which finds what a scan at m_max finds, and the key of
-    its cached scans."""
+    at for m_max, which finds what a scan at m_max finds."""
     return min(m_max, stable_window(spec))
 
 
@@ -171,34 +169,26 @@ def verify_equivalence(spec, m_max):
         constant between the starts of the family's step list, so they
         are checked at the first degree and at each later start.
 
-    The scan runs at scan_window(spec, m_max), where it finds the
-    same ranks, polynomial, multiplicities and checks as at m_max, and is
-    cached there; the report is a fresh one, certified to m_max.
+    The scan runs at scan_window(spec, m_max), where it finds the same
+    ranks, polynomial, multiplicities and checks as at m_max; the report is
+    certified to m_max.
     """
     check_degree(m_max)
-    rank_rs, rank_pc, poly, stable, checks = _scan(spec, scan_window(spec, m_max))
-    return StabilityReport(spec, m_max, rank_rs, rank_pc, poly, dict(stable), list(checks))
-
-
-@lru_cache(maxsize=1024)
-def _scan(spec, m_max):
-    """verify_equivalence at m_max, as (rank_rs, rank_pc, poly, stable
-    multiplicities as pairs, bound checks as pairs), None where a rank is
-    not reached."""
-    rs = rank_rs_estimate(spec, m_max)
-    pc = rank_pc_estimate(spec, m_max)
-    rank_rs, stable = (None, {}) if rs is None else rs
+    window = scan_window(spec, m_max)
+    rs = rank_rs_estimate(spec, window)
+    pc = rank_pc_estimate(spec, window)
+    rank_rs, stable = (None, None) if rs is None else rs
     rank_pc, poly = (None, None) if pc is None else pc
     if rs is None or pc is None:
-        return rank_rs, rank_pc, poly, tuple(stable.items()), ()
+        return StabilityReport(spec, m_max, rank_rs, rank_pc, poly, stable)
     two_d = 0 if poly.is_zero() else 2 * poly.weighted_degree()
     checks = [
         ("rank_pc_le_rank_rs", rank_pc <= rank_rs),
         ("rank_rs_le_max_rank_pc_2degw", rank_rs <= max(rank_pc, two_d)),
     ]
     lo = max(two_d, rank_pc)
-    steps = family_steps(spec, m_max)
-    degrees = sorted({b for _, b, _ in steps if b > lo}.union([lo] if lo <= m_max else []))
+    steps = family_steps(spec, window)
+    degrees = sorted({b for _, b, _ in steps if b > lo}.union([lo] if lo <= window else []))
     poly_ok, weight_ok = True, True
     expected_w = 0 if poly.is_zero() else poly.weighted_degree()
     for socles in prefix_sums(steps, degrees):
@@ -209,7 +199,7 @@ def _scan(spec, m_max):
             weight_ok = False
     checks.append(("poly_equals_module_polynomial", poly_ok))
     checks.append(("module_weight_equals_poly_weight", weight_ok))
-    return rank_rs, rank_pc, poly, tuple(stable.items()), tuple(checks)
+    return StabilityReport(spec, m_max, rank_rs, rank_pc, poly, stable, checks)
 
 
 def tensor_weight(lam, mu, m):

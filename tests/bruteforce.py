@@ -14,7 +14,7 @@ the library reads off a step list.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial, gcd
+from math import comb, factorial, gcd, prod
 
 from repstab.characters import ClassFunction, decompose, irr_character, irr_row
 from repstab.cyclepoly import CharPolynomial, X, cycle_poly, eval_rho_all
@@ -28,7 +28,6 @@ from repstab.fbmodules import (
     VFamily,
     WeightTruncateGT,
     WeightTruncateLE,
-    terms_at,
 )
 from repstab.frobenius import frobenius_poly_of_socles, socle_steps
 from repstab.partitions import Partition, classes, cycle_types_of, format_cycle_type
@@ -686,9 +685,11 @@ def integer_steps_by_jumps(pieces):
 #
 # The library reads a family's character, and the weight of a tensor
 # product of two padded irreducibles, off step lists (fbmodules.character_at,
-# stability.tensor_weight).  These evaluate them on every class of S_m: a
-# cycle module its cycle-count polynomial, a tensor product the product of
-# its factors' characters, through the kernel for irreducibles.
+# stability.tensor_weight).  These evaluate them on every class of S_m, each
+# node on its own: an irreducible family through the kernel, an induced one
+# by counting stable subsets, a cycle module its cycle-count polynomial, a
+# tensor product the product of its factors' characters, a truncation on
+# the degree or on the decomposition of its child's character.
 
 
 def cycle_poly_product(nu):
@@ -700,13 +701,35 @@ def cycle_poly_product(nu):
     return out
 
 
+def induced_by_classes(w, m):
+    """The character of S_m induced from chi_w x 1 on S_n x S_(m-n), n =
+    w.m, chi_w the character of the decomposition w, zero for m < n: at a
+    class sigma, sum over rho |- n of chi_w(rho) prod_i C(m_i(sigma),
+    m_i(rho)), the sigma-stable n-subsets on which sigma has type rho."""
+    if m < w.m:
+        return ClassFunction.zero(m)
+    values = [
+        sum(
+            c * prod(comb(sigma.count(i), rho.count(i)) for i in set(rho))
+            for rho, c in zip(classes(w.m).cycles, w.character().num)
+        )
+        for sigma in classes(m).cycles
+    ]
+    return ClassFunction.from_ints(m, values)
+
+
 @lru_cache(maxsize=1024)
 def character_by_classes(spec, m):
-    """fbmodules.character_at(spec, m) over the p(m) classes of S_m: cycle
-    modules evaluate their polynomial on every class, tensor products
-    multiply their factors' characters pointwise and direct sums add their
-    children's; every other node is read off the library's decomposition."""
+    """fbmodules.character_at(spec, m) over the p(m) classes of S_m, from
+    irreducible characters, class counts and decompositions alone: no step
+    list of the library is read."""
     match spec:
+        case Projective(base=w):
+            return induced_by_classes(w, m)
+        case VFamily(lam=lam, convention=conv):
+            label = lam.socle() if conv == "socle" else lam
+            first = lam.size if conv == "socle" else lam.size + (lam.parts[0] if lam else 0)
+            return ClassFunction.zero(m) if m < first else irr_character(label.pad(m))
         case CycleModule(nu=nu):
             return eval_rho_all(cycle_poly_product(nu), m)
         case Tensor(left=left, right=right):
@@ -716,8 +739,23 @@ def character_by_classes(spec, m):
             for child in children:
                 total = total + character_by_classes(child, m)
             return total
-        case _:
-            return terms_at(spec, m).character()
+        case Truncate(child=child, cutoff=cutoff):
+            return ClassFunction.zero(m) if m < cutoff else character_by_classes(child, m)
+        case WeightTruncateLE(child=child, p=p):
+            return _weight_kept(character_by_classes(child, m), lambda k: k <= p)
+        case WeightTruncateGT(child=child, p=p):
+            return _weight_kept(character_by_classes(child, m), lambda k: k > p)
+    raise TypeError(f"not a family constructor: {spec!r}")
+
+
+def _weight_kept(chi, keep):
+    """The sum of the irreducible factors of the character chi whose weight
+    passes keep."""
+    total = ClassFunction.zero(chi.m)
+    for lam, n in decompose(chi).items():
+        if keep(lam.weight()):
+            total = total + n * irr_character(lam)
+    return total
 
 
 def tensor_weight_by_classes(lam, mu, m):

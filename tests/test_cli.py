@@ -456,7 +456,7 @@ def test_a_heavy_cycle_scans_only_its_window(spec):
 
 def test_warm_rankscan_documents_match_a_fresh_interpreter(capsys):
     # a --json document renders its fields after certified_to once per
-    # cached scan, keyed like the scan by (spec, min(m_max, W)): windows
+    # scan, keyed by (spec, min(m_max, W)), the window it runs at: windows
     # on both sides of W, run in shuffled order in this interpreter, must
     # each print what a fresh interpreter prints
     from repstab.stability import stable_window

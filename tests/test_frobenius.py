@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import io
+import operator
 import pkgutil
 from fractions import Fraction
 from itertools import zip_longest
@@ -168,11 +169,14 @@ def test_module_polynomial_matches_the_per_socle_sum(socles):
 
 def test_monomial_positions_hold_each_weight_in_print_order():
     # weight w holds its p(w) monomials, in print order, on the slots just
-    # past those of weight < w, numbered from the last printed one
-    end = 0
+    # past those of weight < w, numbered from the last printed one; the
+    # table at w extends the one at w - 1 and shares its basis lists
+    end, below = 0, ((), ())
     for w in range(16):
-        table = frobenius._monomial_positions(w)
-        assert len(table) == len(classes(w).cycles), w
+        positions, monos, bases = frobenius._slot_table(w)
+        table = positions[w]
+        assert positions[:w] == below[0] and all(map(operator.is_, bases[:w], below[1])), w
+        assert len(table) == len(bases[w]) == len(classes(w).cycles), w
         assert all(sum(v * e for v, e in mono) == w for mono in table), w
         for mono in table:  # canonical: variables ascending, exponents positive
             variables = [v for v, _ in mono]
@@ -180,17 +184,42 @@ def test_monomial_positions_hold_each_weight_in_print_order():
         assert list(table) == sorted(table, key=print_order), w
         assert list(table.values()) == list(range(end + len(table) - 1, end - 1, -1)), w
         end += len(table)
-        assert frobenius._monomial_count(w) == end, w
-        positions, monos = frobenius._slot_table(w)
-        assert positions[w] is table and len(monos) == end, w
+        assert len(monos) == end, w
         assert list(monos) == sorted(monos, key=print_order), w  # the slots read backwards
         assert all(positions[sum(v * e for v, e in m)][m] == end - 1 - i for i, m in enumerate(monos))
+        below = positions, bases
+
+
+def exponent_vectors(w, n):
+    """Every (e_1, ..., e_n) of nonnegative integers with sum_i i e_i = w,
+    one variable at a time from X_n down."""
+    if not n:
+        return [()] if not w else []
+    return [rest + (e,) for e in range(w // n + 1) for rest in exponent_vectors(w - n * e, n - 1)]
+
+
+def test_slot_table_holds_every_monomial_once_in_print_order():
+    # against monomials counted without classes: the exponent vectors of
+    # each weight, as (i, e_i) pairs over the e_i > 0, in print order, on
+    # the slots past those of the lower weights, numbered from the last
+    end = 0
+    for w in range(25):
+        positions, monos, _ = frobenius._slot_table(w)
+        vectors = exponent_vectors(w, w)
+        expected = sorted(
+            {tuple((i, e) for i, e in enumerate(vec, 1) if e) for vec in vectors}, key=print_order
+        )
+        assert len(expected) == len(vectors), w
+        assert list(positions[w]) == expected, w
+        assert list(positions[w].values()) == list(range(end + len(expected) - 1, end - 1, -1)), w
+        end += len(expected)
+        assert len(monos) == end and list(monos[: len(expected)]) == expected, w
 
 
 def basis_terms(rho):
     """frobenius._binomial_basis(rho) with its slots read back as
     monomials: (num, den), B_rho = sum of num[mono] / den mono."""
-    positions = [frobenius._monomial_positions(w) for w in range(sum(rho) + 1)]
+    positions = frobenius._slot_table(sum(rho))[0]
     terms, den = frobenius._binomial_basis(rho, positions)
     monos = {slot: mono for table in positions for mono, slot in table.items()}
     assert len({slot for slot, _ in terms}) == len(terms), rho  # each slot once
@@ -220,9 +249,6 @@ def test_caches_are_bounded():
         "repstab.fbmodules.family_steps",
         "repstab.fbmodules.parse_spec",
         "repstab.fbmodules.stable_range",
-        "repstab.stability._scan",
-        "repstab.frobenius._binomial_bases",
-        "repstab.frobenius._monomial_positions",
         "repstab.frobenius._slot_table",
         "repstab.frobenius._strip_coefficients",
         "repstab.pieri.horizontal_strip_steps",
@@ -248,13 +274,10 @@ def test_clear_caches_empties_every_cache():
         return {name: c.cache_info().currsize for name, c in caches.items()}
 
     assert sizes()["repstab.cyclepoly._monomial"] > 0
-    assert sizes()["repstab.frobenius._binomial_bases"] > 0
-    assert sizes()["repstab.frobenius._monomial_positions"] > 0
     assert sizes()["repstab.frobenius._slot_table"] > 0
     assert sizes()["repstab.pieri.horizontal_strip_steps"] > 0
     for name in ["parse_spec", "stable_range"]:
         assert sizes()[f"repstab.fbmodules.{name}"] > 0, name
-    assert sizes()["repstab.stability._scan"] == 2
     assert sizes()["repstab.cli._scan_fields"] == 2
     assert sizes()["repstab._mnpure._key"] > 0
     repstab.clear_caches()
